@@ -38,7 +38,6 @@ from .constructions import (
     kgproduct_ideal,
     ring_from_recipe,
     star_ideal,
-    sumc2_ideal,
 )
 from .endo import (
     RealizabilityReport,

@@ -223,16 +223,10 @@ def product_element(factors: list[Algebra] | tuple[Algebra, ...], components: li
 
 @dataclass(frozen=True, eq=False)
 class Ideal:
-    """A multiplication-closed GF(2) subspace in canonical RREF form.
-
-    `generators` optionally remembers the vectors the ideal was spanned
-    from; they are redundant data but let callers check ideal preservation
-    on generators instead of the full basis.
-    """
+    """A multiplication-closed GF(2) subspace in canonical RREF form."""
 
     ambient: Algebra
     rref_basis: tuple[int, ...]
-    generators: tuple[int, ...] | None = None
 
     def __post_init__(self) -> None:
         if gf2.rref(self.rref_basis) != self.rref_basis:
@@ -243,10 +237,6 @@ class Ideal:
             for v in self.rref_basis:
                 if not self.contains(amb.mul(basis_vec, v)):
                     raise ValueError("subspace is not closed under multiplication")
-        if self.generators is not None and any(
-            not self.contains(gen) for gen in self.generators
-        ):
-            raise ValueError("recorded generators must lie in the ideal")
 
     @property
     def dim(self) -> int:
@@ -281,7 +271,7 @@ def ideal_span(a: Algebra, generators: list[AlgebraElement] | tuple[AlgebraEleme
             if closed == span:
                 break
             span = closed
-    return Ideal(a, span, generators=gens)
+    return Ideal(a, span)
 
 
 def is_unit(a: Algebra, e: AlgebraElement) -> bool:
@@ -333,22 +323,22 @@ def multiplicative_order(a: Algebra, u: AlgebraElement) -> int:
     return k
 
 
-def units(a: Algebra, *, budget_dim: int = DEFAULT_UNIT_BUDGET_DIM) -> frozenset[AlgebraElement]:
-    """All invertible elements, by exhaustive scan over 2**dim elements."""
+def units(a: Algebra, *, budget_dim: int = DEFAULT_UNIT_BUDGET_DIM,
+          cap: int | None = None) -> frozenset[AlgebraElement] | None:
+    """All invertible elements, by exhaustive scan over 2**dim elements.
+
+    With a cap, the scan is abandoned and None returned as soon as more than
+    `cap` units are found.
+    """
     if a.dim > budget_dim:
         raise BudgetExceededError(
             f"unit enumeration over 2^{a.dim} elements exceeds the dim <= {budget_dim} budget"
         )
-    return frozenset(e for e in range(1, 1 << a.dim) if is_unit(a, e))
-
-
-def units_capped(a: Algebra, cap: int) -> frozenset[AlgebraElement] | None:
-    """Unit set if it has at most `cap` elements, else None (early abandon)."""
     found: list[int] = []
     for e in range(1, 1 << a.dim):
         if is_unit(a, e):
             found.append(e)
-            if len(found) > cap:
+            if cap is not None and len(found) > cap:
                 return None
     return frozenset(found)
 

@@ -106,6 +106,16 @@ def _add_common_flags(parser: argparse.ArgumentParser, top_level: bool) -> None:
     )
 
 
+def _positive_int(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="fuchslab",
@@ -125,7 +135,8 @@ def build_parser() -> argparse.ArgumentParser:
     search = sub.add_parser("search", parents=[common])
     search.add_argument("spec")
     search.add_argument("--pool", default="default", choices=POOLS)
-    search.add_argument("--budget", type=int, default=256, help="distinct ideals examined")
+    search.add_argument("--budget", type=_positive_int, default=256,
+                        help="distinct ideals examined (at least 1)")
     selftest = sub.add_parser("selftest", parents=[common])
     selftest.add_argument(
         "--max-order",
@@ -168,7 +179,12 @@ def _cmd_verify(args, report, timer) -> None:
     report["witness_recipe"] = verdict.recipe
     if args.ring is not None:
         with timer.measure("construct"):
-            _, ring = ring_from_recipe(args.ring)
+            spec, ring = ring_from_recipe(args.ring)
+        if spec != verdict.group:
+            raise GroupSyntaxError(
+                f"recipe {args.ring!r} builds a ring for {render_group(spec)}, "
+                f"not for {render_group(verdict.group)}"
+            )
         report["witness_recipe"] = args.ring
     elif not (verdict.fully_realizable and verdict.group.is_finite):
         report["fully_realizes"] = False if not verdict.fully_realizable else None
@@ -190,6 +206,10 @@ def _cmd_endos(args, report, timer) -> None:
     g = parse_group(args.spec)
     with timer.measure("count"):
         total = endo_count(g)
+    try:
+        str(total)
+    except ValueError as exc:  # Python's limit on int-to-string conversion
+        raise BudgetExceededError(f"|End({render_group(g)})| cannot be printed: {exc}") from None
     report["group"] = render_group(g)
     report["counts"] = {"group_endos": total, "realized": None}
 

@@ -14,6 +14,7 @@ from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
 
+from . import gf2
 from .algebra import (
     DEFAULT_UNIT_BUDGET_DIM,
     Algebra,
@@ -26,7 +27,7 @@ from .algebra import (
     product_algebra,
     quotient,
     unit_embedding_kernel,
-    units_capped,
+    units,
 )
 from .endo import count_preserving
 from .errors import (
@@ -136,22 +137,6 @@ def _pair_vector(spec: GroupSpec, a: GroupElement, b: GroupElement) -> int:
     )
 
 
-def sumc2_ideal(rank: int, *, max_rank: int = 5) -> Ideal:
-    """The ideal of F2[C2^rank] spanned by 1 + x_a + x_b + x_a x_b over all
-    pairs of generators; its quotient has unit group C2^rank and dimension
-    rank + 1."""
-    if rank < 0 or rank > max_rank:
-        raise BudgetExceededError(f"rank {rank} outside 0..{max_rank}")
-    spec = GroupSpec((2,) * rank)
-    gens = []
-    for a in range(rank):
-        for b in range(a + 1, rank):
-            xa = tuple(1 if t == a else 0 for t in range(rank))
-            xb = tuple(1 if t == b else 0 for t in range(rank))
-            gens.append(_pair_vector(spec, xa, xb))
-    return ideal_span(group_algebra(spec), gens)
-
-
 def _a24_spec(rank: int, with_c4: bool) -> GroupSpec:
     return GroupSpec((2,) * rank + ((4,) if with_c4 else ()))
 
@@ -160,8 +145,8 @@ def a24_ideal(rank: int, with_c4: bool, *, max_rank: int | None = None) -> Ideal
     """The witness ideal for C2^rank (x C4): cross terms (1 + x_J)(1 + y^r),
     the pair family 1 + x_A + x_B + x_A x_B, and 1 + y + y^2 + y^3.
 
-    Without the C4 factor the cross terms vanish and this collapses to
-    sumc2_ideal(rank).
+    Without the C4 factor only the pair family remains; its quotient has
+    unit group C2^rank and dimension rank + 1.
     """
     limit = max_rank if max_rank is not None else (3 if with_c4 else 5)
     if rank < 0 or rank > limit:
@@ -302,16 +287,21 @@ def kgproduct_ideal(parts: list[GroupSpec] | tuple[GroupSpec, ...],
         total *= part.torsion_order
     if total > max_order:
         raise BudgetExceededError(f"product order {total} exceeds budget {max_order}")
-    ambient, part_maps = kgproduct_embeddings(parts)
-    gens: list[int] = []
-    for i in range(len(parts)):
-        for j in range(i + 1, len(parts)):
-            for a in elements(parts[i]):
-                for b in elements(parts[j]):
-                    gens.append(
-                        _pair_vector(ambient, part_maps[i][a], part_maps[j][b])
-                    )
+    ambient, _, gens = _kgproduct_glue(parts)
     return ideal_span(group_algebra(ambient), gens)
+
+
+def _kgproduct_glue(parts: tuple[GroupSpec, ...]) -> tuple[GroupSpec, list[dict[GroupElement, GroupElement]], list[int]]:
+    """kgproduct_embeddings plus the generators (1 + a)(1 + b) of
+    kgproduct_ideal, for a, b drawn from distinct parts."""
+    ambient, part_maps = kgproduct_embeddings(parts)
+    gens = [
+        _pair_vector(ambient, part_maps[i][a], part_maps[j][b])
+        for i, j in itertools.combinations(range(len(parts)), 2)
+        for a in elements(parts[i])
+        for b in elements(parts[j])
+    ]
+    return ambient, part_maps, gens
 
 
 @lru_cache(maxsize=8)
@@ -370,18 +360,13 @@ def chain_ring_ideals(k: int) -> tuple[Ideal, ...]:
     return ideals
 
 
-def _primary_generator(spec: GroupSpec, position: int, p: int, e: int) -> GroupElement:
-    d = spec.finite_orders[position]
-    return tuple(d // p**e if t == position else 0 for t in range(spec.rank))
-
-
 def construct_witness(g: GroupSpec, *, max_order: int = 64,
                       unit_budget_dim: int = DEFAULT_UNIT_BUDGET_DIM) -> QuotientRing:
     """A quotient ring that fully realizes g, for positive finite verdicts.
 
-    Built as F2[g] modulo the elementary-abelian pair family, the C4 chain
-    relation and its cross terms when a C4 summand is present, and the
-    product glue with the C3 summand when one is present.
+    F2[g] modulo a24_ideal of its W x C4 part; with a C3 summand, that ideal
+    is moved into F2[g] and spanned together with the generators of
+    kgproduct_ideal, the product glue with the C3 part.
     """
     verdict = classify(g)
     if not verdict.fully_realizable:
@@ -392,54 +377,19 @@ def construct_witness(g: GroupSpec, *, max_order: int = 64,
     if c.torsion_order > max_order:
         raise BudgetExceededError(f"|G| = {c.torsion_order} exceeds budget {max_order}")
 
-    xs: list[GroupElement] = []
-    y: GroupElement | None = None
-    c3: GroupElement | None = None
-    for pos, d in enumerate(c.finite_orders):
-        split = prime_power_split(d)
-        e2 = split.get(2, 0)
-        if e2 == 1:
-            xs.append(_primary_generator(c, pos, 2, 1))
-        elif e2 == 2:
-            y = _primary_generator(c, pos, 2, 2)
-        if split.get(3, 0) == 1:
-            c3 = _primary_generator(c, pos, 3, 1)
-
-    def x_subset(subset: tuple[int, ...]) -> GroupElement:
-        acc = identity_element(c)
-        for idx in subset:
-            acc = add_elements(c, acc, xs[idx])
-        return acc
-
-    subsets = [
-        s
-        for size in range(len(xs) + 1)
-        for s in itertools.combinations(range(len(xs)), size)
-    ]
-    gens: list[int] = []
-    for a_set, b_set in itertools.product(subsets, repeat=2):
-        gens.append(_pair_vector(c, x_subset(a_set), x_subset(b_set)))
-    if y is not None:
-        for j_set in subsets:
-            for power in range(4):
-                gens.append(_pair_vector(c, x_subset(j_set), scale_element(c, power, y)))
-        acc = 0
-        for power in range(4):
-            acc ^= _vec(c, scale_element(c, power, y))
-        gens.append(acc)
-    if c3 is not None:
-        two_part = []
-        y_range = range(4) if y is not None else range(1)
-        for subset in subsets:
-            for power in y_range:
-                u = x_subset(subset)
-                if y is not None:
-                    u = add_elements(c, u, scale_element(c, power, y))
-                two_part.append(u)
-        for u in two_part:
-            for s in (1, 2):
-                gens.append(_pair_vector(c, u, scale_element(c, s, c3)))
-    ideal = ideal_span(group_algebra(c), gens)
+    twos = [prime_power_split(d).get(2, 0) for d in c.finite_orders]
+    rank, with_c4 = twos.count(1), 2 in twos
+    ideal = a24_ideal(rank, with_c4, max_rank=rank)
+    if c.torsion_order % 3 == 0:
+        w = _a24_spec(rank, with_c4)
+        ambient, (to_ambient, _), glue = _kgproduct_glue((w, GroupSpec((3,))))
+        els = elements(w)
+        # the embedding is injective, so each sum adds distinct basis bits
+        moved = [
+            sum(_vec(ambient, to_ambient[els[b]]) for b in gf2.bits(v))
+            for v in ideal.rref_basis
+        ]
+        ideal = ideal_span(group_algebra(ambient), moved + glue)
     return quotient(c, ideal, unit_budget_dim=unit_budget_dim)
 
 
@@ -457,6 +407,14 @@ def _recipe_args(raw: str) -> dict[str, str]:
     return args
 
 
+def _int_arg(args: dict[str, str], key: str) -> int:
+    value = args[key]
+    try:
+        return int(value)
+    except ValueError:
+        raise GroupSyntaxError(f"recipe argument {key}={value!r} is not an integer") from None
+
+
 def ring_from_recipe(recipe: str) -> tuple[GroupSpec, QuotientRing]:
     """Materialize a witness ring from its machine-readable recipe string,
     e.g. "a24(rank=2,c4=true)", "a24xC3(rank=1,c4=false)", "chain(k=2,j=3)"."""
@@ -466,15 +424,18 @@ def ring_from_recipe(recipe: str) -> tuple[GroupSpec, QuotientRing]:
     name, args = m.group(1), _recipe_args(m.group(2))
     try:
         if name in ("a24", "a24xC3", "sumc2"):
-            rank = int(args["rank"])
-            with_c4 = args.get("c4", "false") == "true"
+            rank = _int_arg(args, "rank")
+            c4 = args.get("c4", "false")
+            if c4 not in ("true", "false"):
+                raise GroupSyntaxError(f"recipe argument c4={c4!r} must be true or false")
+            with_c4 = c4 == "true"
             orders = (2,) * rank + ((4,) if with_c4 else ())
             if name == "a24xC3":
                 orders = orders + (3,)
             spec = canonicalize(GroupSpec(orders))
             return spec, construct_witness(spec)
         if name == "chain":
-            k, j = int(args["k"]), int(args["j"])
+            k, j = _int_arg(args, "k"), _int_arg(args, "j")
             ideals = chain_ring_ideals(k)
             if not 1 <= j <= 2**k:
                 raise GroupSyntaxError(f"chain power j={j} outside 1..{2**k}")
@@ -537,8 +498,7 @@ def _fieldprod_kernels(spec: GroupSpec, budget: int):
             factors = [field_algebra(1)] * n_f2 + [field_algebra(2)] * n_f4
             target = product_algebra(factors) if len(factors) > 1 else factors[0]
             unit_sets = []
-            all_units = units_capped(target, 1 << target.dim)
-            assert all_units is not None
+            all_units = units(target)
             for d in spec.finite_orders:
                 unit_sets.append(
                     sorted(u for u in all_units if target.power(u, d) == target.one_vector)
@@ -598,7 +558,7 @@ def bounded_ideal_search(g: GroupSpec, pool: str = "default", budget: int = 256,
         if qdim > DEFAULT_UNIT_BUDGET_DIM:
             continue
         q = quotient(c, ideal)
-        unit_set = units_capped(q.quotient_algebra, order)
+        unit_set = units(q.quotient_algebra, cap=order)
         if unit_set is None or len(unit_set) != order:
             continue
         image = set(q.group_image)
@@ -608,7 +568,7 @@ def bounded_ideal_search(g: GroupSpec, pool: str = "default", budget: int = 256,
             continue
         realizing += 1
         if total_endos <= max_endos:
-            preserved, _ = count_preserving(c, ideal, total_endos, workers=1)
+            preserved, _ = count_preserving(c, ideal, total_endos)
             if preserved == total_endos:
                 fully += 1
     exhaustive = pool == "chain" and chain_k is not None and budget >= 2**chain_k + 1

@@ -9,8 +9,6 @@ End(G), filters by ideal preservation, and renders the verdict.
 from __future__ import annotations
 
 import itertools
-import multiprocessing
-import os
 from dataclasses import dataclass
 
 from . import gf2
@@ -42,16 +40,6 @@ class RealizabilityReport:
     failing_witness: GroupHom | None
 
 
-def worker_count() -> int:
-    """Worker cap from FUCHSLAB_THREADS (default 1, bounded by CPU count)."""
-    raw = os.environ.get("FUCHSLAB_THREADS", "1")
-    try:
-        n = int(raw)
-    except ValueError:
-        return 1
-    return max(1, min(n, os.cpu_count() or 1))
-
-
 def preserves_ideal(g: GroupSpec, phi: GroupHom, i: Ideal) -> bool:
     """True iff the linear extension of phi maps every RREF basis vector of
     the ideal back into the ideal."""
@@ -73,12 +61,8 @@ def preserves_ideal(g: GroupSpec, phi: GroupHom, i: Ideal) -> bool:
 
 
 def _scan_data(g: GroupSpec, ideal: Ideal) -> tuple:
-    """Precomputed tables for the endomorphism filter.
-
-    Ideal preservation is checked on the recorded generators when present
-    (a ring map pushes an ideal generator set to a generator set of the
-    image ideal), else on the RREF basis; both criteria agree.
-    """
+    """Precomputed tables for the endomorphism filter, which checks the
+    ideal's RREF basis, the same criterion as preserves_ideal."""
     amb = ideal.ambient
     if not (amb.group_basis and amb.dim == g.torsion_order):
         raise ValueError("the ideal must live in the group algebra of g")
@@ -86,33 +70,28 @@ def _scan_data(g: GroupSpec, ideal: Ideal) -> tuple:
         tuple(entry.bit_length() - 1 for entry in row) for row in amb.mult_table
     )
     red = tuple(ideal.reduce(1 << b) for b in range(amb.dim))
-    check_vectors = tuple(v for v in (ideal.generators or ideal.rref_basis) if v)
-    needed = sorted({b for v in check_vectors for b in gf2.bits(v)})
+    needed = sorted({b for v in ideal.rref_basis for b in gf2.bits(v)})
     position = {b: i for i, b in enumerate(needed)}
     els = elements(g)
     steps = tuple(
         tuple((j, e) for j, e in enumerate(els[b]) if e) for b in needed
     )
-    checks = tuple(tuple(position[b] for b in gf2.bits(v)) for v in check_vectors)
+    checks = tuple(tuple(position[b] for b in gf2.bits(v)) for v in ideal.rref_basis)
     cands = tuple(
         tuple(element_index(g, e) for e in cand) for cand in image_candidates(g)
     )
     return (tuple(len(c) for c in cands), cands, cayley, red, steps, checks)
 
 
-def _scan_endos(data: tuple, start: int, stop: int) -> tuple[int, int | None]:
-    """Count ideal-preserving endomorphisms with global index in [start, stop);
-    also report the first failing index, for deterministic witnesses."""
+def _scan_endos(data: tuple, total: int) -> tuple[int, int | None]:
+    """Count ideal-preserving endomorphisms among the first `total` in
+    enumeration order; also report the first failing index, for
+    deterministic witnesses."""
     sizes, cands, cayley, red, steps, checks = data
-    digits = []
-    t = start
-    for size in reversed(sizes):
-        digits.append(t % size)
-        t //= size
-    digits.reverse()
+    digits = [0] * len(sizes)
     preserved = 0
     first_fail: int | None = None
-    for t in range(start, stop):
+    for t in range(total):
         chosen = [cands[j][d] for j, d in enumerate(digits)]
         imgs = []
         for step in steps:
@@ -142,20 +121,10 @@ def _scan_endos(data: tuple, start: int, stop: int) -> tuple[int, int | None]:
     return preserved, first_fail
 
 
-def count_preserving(g: GroupSpec, ideal: Ideal, total: int,
-                     workers: int = 1) -> tuple[int, int | None]:
+def count_preserving(g: GroupSpec, ideal: Ideal, total: int) -> tuple[int, int | None]:
     """Count the endomorphisms of g whose extension preserves the ideal, and
     the enumeration index of the first one that does not (None if all do)."""
-    data = _scan_data(g, ideal)
-    if workers <= 1 or total < 4096:
-        return _scan_endos(data, 0, total)
-    bounds = [total * i // workers for i in range(workers + 1)]
-    chunks = [(data, bounds[i], bounds[i + 1]) for i in range(workers)]
-    with multiprocessing.Pool(workers) as pool:
-        results = pool.starmap(_scan_endos, chunks)
-    preserved = sum(r[0] for r in results)
-    fails = [r[1] for r in results if r[1] is not None]
-    return preserved, (min(fails) if fails else None)
+    return _scan_endos(_scan_data(g, ideal), total)
 
 
 def _hom_from_index(g: GroupSpec, index: int) -> GroupHom:
@@ -191,8 +160,7 @@ def ring_endos(q: QuotientRing, *, max_endos: int = DEFAULT_MAX_ENDOS) -> list[G
 
 
 def fully_realizes(q: QuotientRing, expected: GroupSpec,
-                   *, max_endos: int = DEFAULT_MAX_ENDOS,
-                   workers: int | None = None) -> RealizabilityReport:
+                   *, max_endos: int = DEFAULT_MAX_ENDOS) -> RealizabilityReport:
     """Full-realizability verdict for q against the expected unit group.
 
     unit_group_ok requires the unit set to be exactly the image of G and its
@@ -210,9 +178,7 @@ def fully_realizes(q: QuotientRing, expected: GroupSpec,
         and q.unit_to_group is not None
         and q.unit_group_invariants() == expected_c.finite_orders
     )
-    if workers is None:
-        workers = worker_count()
-    realized, first_fail = count_preserving(g, q.ideal, total, workers)
+    realized, first_fail = count_preserving(g, q.ideal, total)
     fully = unit_ok and realized == total
     witness = None
     if unit_ok and not fully and first_fail is not None:

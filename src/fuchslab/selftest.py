@@ -27,7 +27,7 @@ from .algebra import (
     subring_generated,
     subring_span,
     unit_group_invariants,
-    units_capped,
+    units,
 )
 from .constructions import (
     a24_ideal,
@@ -38,7 +38,6 @@ from .constructions import (
     kgproduct_ambient,
     kgproduct_ideal,
     star_ideal,
-    sumc2_ideal,
 )
 from .endo import fully_realizes, preserves_ideal, ring_endos, ring_endos_oracle
 from .groups import (
@@ -139,7 +138,7 @@ def criterion_3_chain_ring_sweep() -> CriterionResult:
                 continue
             q = quotient(spec, ideal)
             # a C_{2^k} unit group needs exactly 2^k units, so cap the scan
-            unit_set = units_capped(q.quotient_algebra, 2**k)
+            unit_set = units(q.quotient_algebra, cap=2**k)
             if unit_set is None:
                 continue
             if invariants_from_units(q.quotient_algebra, unit_set) == (2**k,):
@@ -157,7 +156,7 @@ def criterion_4_witness_families() -> CriterionResult:
     expected_sumc2 = {1: 2, 2: 16, 3: 512, 4: 65536}
     for rank, count in expected_sumc2.items():
         spec = GroupSpec((2,) * rank)
-        rep = fully_realizes(quotient(spec, sumc2_ideal(rank)), spec)
+        rep = fully_realizes(quotient(spec, a24_ideal(rank, False)), spec)
         checks.append((rep.fully_realizes and rep.total_endos == count == rep.realized_endos,
                        f"sumc2 rank {rank} must preserve all {count} endomorphisms"))
     expected_a24 = {0: 4, 1: 32, 2: 1024}
@@ -265,7 +264,7 @@ def criterion_8_structural_properties() -> CriterionResult:
     checks = []
 
     samples = [
-        (GroupSpec((2, 2)), sumc2_ideal(2)),
+        (GroupSpec((2, 2)), a24_ideal(2, False)),
         (GroupSpec((2, 4)), a24_ideal(1, True)),
         (GroupSpec((6,)), kgproduct_ideal((GroupSpec((2,)), GroupSpec((3,))))),
     ]
@@ -331,7 +330,7 @@ def criterion_8_structural_properties() -> CriterionResult:
     checks.append((kg_ok, "the glued product quotient must have the product unit group"))
 
     c22 = GroupSpec((2, 2))
-    ring22 = quotient(c22, sumc2_ideal(2))
+    ring22 = quotient(c22, a24_ideal(2, False))
     x1 = ring22.group_image[2]  # coset of (1, 0)
     span = subring_span(ring22.quotient_algebra, [x1])
     sub = subring_generated(ring22.quotient_algebra, [x1])

@@ -27,7 +27,6 @@ from fuchslab import (
     units,
 )
 from fuchslab import gf2
-from fuchslab.algebra import units_capped
 
 C2 = GroupSpec((2,))
 C3 = GroupSpec((3,))
@@ -176,8 +175,8 @@ def test_units_counts():
 def test_units_budget():
     with pytest.raises(BudgetExceededError):
         units(group_algebra(GroupSpec((2, 2, 4))), budget_dim=8)
-    assert units_capped(group_algebra(C4), 4) is None
-    assert units_capped(group_algebra(C4), 8) == units(group_algebra(C4))
+    assert units(group_algebra(C4), cap=4) is None
+    assert units(group_algebra(C4), cap=8) == units(group_algebra(C4))
 
 
 def test_unit_group_invariants():

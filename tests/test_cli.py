@@ -124,3 +124,43 @@ def test_selftest_small_sweep(capsys):
     names = [c["name"] for c in report["criteria"]]
     assert len(names) == 9
     assert all(c["passed"] for c in report["criteria"])
+
+
+def _one_line_error(capsys, argv):
+    code = run(["--no-timings", *argv])
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.strip().splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: ")
+    return code, lines[0]
+
+
+def test_recipe_non_integer_argument(capsys):
+    code, err = _one_line_error(capsys, ["verify", "C4", "--ring", "a24(rank=x)"])
+    assert code == EXIT_USAGE
+    assert "rank='x'" in err
+
+
+def test_recipe_c4_flag_must_be_boolean(capsys):
+    code, err = _one_line_error(capsys, ["verify", "C2", "--ring", "a24(rank=1,c4=maybe)"])
+    assert code == EXIT_USAGE
+    assert "c4='maybe'" in err
+
+
+def test_search_budget_below_one(capsys):
+    for budget in ("-5", "0"):
+        assert run(["search", "C16", "--pool", "chain", "--budget", budget]) == EXIT_USAGE
+        assert "--budget" in capsys.readouterr().err
+
+
+def test_endos_beyond_int_string_limit(capsys):
+    for argv in (["endos", "C2^400"], ["--json", "endos", "C2^400"]):
+        code, err = _one_line_error(capsys, argv)
+        assert code == EXIT_BUDGET
+        assert "limit" in err and "digits" in err
+
+
+def test_verify_recipe_for_another_group(capsys):
+    code, err = _one_line_error(capsys, ["verify", "C2", "--ring", "chain(k=2,j=1)"])
+    assert code == EXIT_USAGE
+    assert "C4" in err and "C2" in err

@@ -18,6 +18,7 @@ from fuchslab import (
     chain_ring_ideals,
     classify,
     construct_witness,
+    endo_count,
     fully_realizes,
     group_algebra,
     kgproduct_ambient,
@@ -27,7 +28,6 @@ from fuchslab import (
     quotient,
     ring_from_recipe,
     star_ideal,
-    sumc2_ideal,
     unit_group_invariants,
 )
 from fuchslab.constructions import _pair_vector, _vec
@@ -83,9 +83,9 @@ def test_classify_invariant_under_presentation():
 # --- explicit ideals ---------------------------------------------------------
 
 def test_sumc2_small_ranks():
-    assert sumc2_ideal(0).dim == 0
-    assert sumc2_ideal(1).dim == 0
-    two = sumc2_ideal(2)
+    assert a24_ideal(0, False).dim == 0
+    assert a24_ideal(1, False).dim == 0
+    two = a24_ideal(2, False)
     assert two.dim == 1
     q = quotient(GroupSpec((2, 2)), two)
     assert q.dim == 3 and len(q.unit_elements) == 4
@@ -94,7 +94,7 @@ def test_sumc2_small_ranks():
 def test_sumc2_subset_identity_rank_3():
     # x_J = sum of x_a over J, plus |J| + 1, holds in the quotient
     spec = GroupSpec((2, 2, 2))
-    ideal = sumc2_ideal(3)
+    ideal = a24_ideal(3, False)
     for size in range(4):
         for subset in itertools.combinations(range(3), size):
             x_j = tuple(1 if t in subset else 0 for t in range(3))
@@ -108,7 +108,7 @@ def test_sumc2_subset_identity_rank_3():
 
 def test_sumc2_budget():
     with pytest.raises(BudgetExceededError):
-        sumc2_ideal(6)
+        a24_ideal(6, False)
 
 
 def test_a24_examples():
@@ -119,7 +119,7 @@ def test_a24_examples():
     assert q.dim == 4
     rep = fully_realizes(q, spec)
     assert rep.fully_realizes and rep.total_endos == 32
-    assert a24_ideal(2, False).rref_basis == sumc2_ideal(2).rref_basis
+    assert a24_ideal(2, False).rref_basis == (0b1111,)  # 1 + x1 + x2 + x1 x2
 
 
 def test_a24_budget():
@@ -142,7 +142,7 @@ def test_star_equals_a24(rank, with_c4):
 
 
 def test_star_without_c4_is_sumc2_rank_3():
-    assert star_ideal(3, False).rref_basis == sumc2_ideal(3).rref_basis
+    assert star_ideal(3, False).rref_basis == a24_ideal(3, False).rref_basis
 
 
 # --- the product construction ------------------------------------------------
@@ -233,7 +233,7 @@ def test_chain_ring_ideal_counts():
 
 
 def test_chain_ring_unit_sweep():
-    from fuchslab.algebra import invariants_from_units, units_capped
+    from fuchslab.algebra import invariants_from_units, units
 
     for k, expected_hits in ((2, [3]), (3, []), (4, [])):
         spec = GroupSpec((2**k,))
@@ -242,7 +242,7 @@ def test_chain_ring_unit_sweep():
             if ideal.contains(1):
                 continue
             q = quotient(spec, ideal)
-            unit_set = units_capped(q.quotient_algebra, 2**k)
+            unit_set = units(q.quotient_algebra, cap=2**k)
             if unit_set is None:
                 continue
             if invariants_from_units(q.quotient_algebra, unit_set) == (2**k,):
@@ -257,15 +257,23 @@ def test_chain_ring_budget():
 
 # --- witnesses and recipes ------------------------------------------------------
 
+# every fully realizable group of order <= 64; the ring has dimension
+# rank(W) + 1, plus 2 for a C4 summand and 2 for a C3 summand
 @pytest.mark.parametrize("text,expected_dim", [
     ("C1", 1), ("C2", 2), ("C3", 3), ("C4", 3), ("C6", 4), ("C12", 5),
     ("C2^2 x C4", 5), ("C2 x C3", 4),
+    ("C2^2", 3), ("C2^3", 4), ("C2^4", 5), ("C2^5", 6), ("C2^6", 7),
+    ("C2^2 x C3", 5), ("C2^3 x C3", 6), ("C2^4 x C3", 7),
+    ("C2 x C4", 4), ("C2^3 x C4", 6), ("C2^4 x C4", 7),
+    ("C2 x C12", 6), ("C2^2 x C12", 7),
 ])
 def test_construct_witness_positive(text, expected_dim):
     g = parse_group(text)
     q = construct_witness(g)
     assert q.dim == expected_dim
-    assert fully_realizes(q, g).fully_realizes
+    assert q.unit_group_invariants() == g.finite_orders
+    if endo_count(g) <= 4096:
+        assert fully_realizes(q, g).fully_realizes
 
 
 def test_construct_witness_c4_is_the_chain_ring():
@@ -280,7 +288,7 @@ def test_construct_witness_matches_standalone_ideals():
     )
     assert (
         construct_witness(GroupSpec((2, 2, 2))).ideal.rref_basis
-        == sumc2_ideal(3).rref_basis
+        == a24_ideal(3, False).rref_basis
     )
 
 

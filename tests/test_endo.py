@@ -1,6 +1,7 @@
 """Ideal preservation, endomorphism lifting, and the brute-force oracle."""
 
 import itertools
+import random
 
 import pytest
 
@@ -9,6 +10,7 @@ from fuchslab import (
     GroupHom,
     GroupSpec,
     UnitGroupMismatchError,
+    a24_ideal,
     count_preserving,
     endo_count,
     enumerate_endos,
@@ -24,7 +26,6 @@ from fuchslab import (
     quotient,
     ring_endos,
     ring_endos_oracle,
-    sumc2_ideal,
 )
 
 C2 = GroupSpec((2,))
@@ -69,8 +70,9 @@ def test_preserves_ideal_counts_25_of_81():
 
 
 def test_generator_and_basis_checks_agree():
-    # count via the recorded generators and via the RREF basis independently
-    q = quotient(GroupSpec((2, 2)), sumc2_ideal(2))
+    # the scan's precomputed tables against preserves_ideal, endomorphism by
+    # endomorphism, on a witness ring
+    q = quotient(GroupSpec((2, 2)), a24_ideal(2, False))
     g = q.parent_group
     by_basis = [
         preserves_ideal(g, h, q.ideal) for h in enumerate_endos(g)
@@ -139,8 +141,6 @@ def test_products_fail_instance():
 
 
 def test_realized_sets_closed_under_composition():
-    from fuchslab import a24_ideal
-
     rings = [
         _f2f4f4_ring(),
         quotient(GroupSpec((2, 4)), a24_ideal(1, True)),
@@ -155,7 +155,7 @@ def test_realized_sets_closed_under_composition():
 
 def test_endo_budget():
     big = GroupSpec((2,) * 5)
-    q = quotient(big, sumc2_ideal(5))
+    q = quotient(big, a24_ideal(5, False))
     with pytest.raises(BudgetExceededError):
         fully_realizes(q, big, max_endos=10**6)
 
@@ -173,8 +173,8 @@ def test_oracle_equivalence_on_dim_le_4():
         quotient(C2, ideal_span(group_algebra(C2), [])),
         quotient(C3, ideal_span(group_algebra(C3), [])),
         _chain_ring(),
-        quotient(GroupSpec((2, 2)), sumc2_ideal(2)),
-        quotient(GroupSpec((2, 2, 2)), sumc2_ideal(3)),
+        quotient(GroupSpec((2, 2)), a24_ideal(2, False)),
+        quotient(GroupSpec((2, 2, 2)), a24_ideal(3, False)),
         present_over(C3, field_algebra(2), [0b10]),
     ]
     for q in rings:
@@ -182,37 +182,25 @@ def test_oracle_equivalence_on_dim_le_4():
         assert len(ring_endos(q)) == ring_endos_oracle(q.quotient_algebra)
 
 
-def test_parallel_scan_matches_sequential():
-    g = GroupSpec((2,) * 4)
-    ideal = sumc2_ideal(4)
-    total = endo_count(g)
-    seq = count_preserving(g, ideal, total, workers=1)
-    par = count_preserving(g, ideal, total, workers=2)
-    assert seq == par == (total, None)
-
-
-def test_parallel_scan_reports_first_failure():
-    # an ideal that some endomorphisms do not preserve, with |End| large
-    # enough to take the partitioned path
-    g = GroupSpec((2,) * 4)
-    amb = group_algebra(g)
-    ideal = ideal_span(amb, [amb.one_vector ^ (1 << 8)])  # 1 + x1
-    total = endo_count(g)
-    seq = count_preserving(g, ideal, total, workers=1)
-    par = count_preserving(g, ideal, total, workers=3)
-    assert seq == par
-    assert seq[1] is not None and seq[0] < total
-
-
-def test_worker_count_env(monkeypatch):
-    from fuchslab.endo import worker_count
-
-    monkeypatch.setenv("FUCHSLAB_THREADS", "2")
-    assert worker_count() <= 2
-    monkeypatch.setenv("FUCHSLAB_THREADS", "not-a-number")
-    assert worker_count() == 1
-    monkeypatch.delenv("FUCHSLAB_THREADS")
-    assert worker_count() == 1
+def test_scan_matches_preserves_ideal_on_random_ideals():
+    # random ideals, unlike witness rings, also give negative verdicts
+    rng = random.Random(20261017)
+    failures = 0
+    for orders in ((2, 2), (4,), (2, 4), (6,), (3, 3), (2, 2, 2)):
+        g = GroupSpec(orders)
+        amb = group_algebra(g)
+        homs = enumerate_endos(g)
+        for _ in range(12):
+            # even weight keeps the span inside the augmentation ideal, so
+            # it is proper and most draws are not the whole algebra
+            raw = [rng.randrange(1 << amb.dim) for _ in range(rng.randint(1, 2))]
+            vectors = [v ^ (v.bit_count() & 1) for v in raw]
+            ideal = ideal_span(amb, vectors)
+            verdicts = [preserves_ideal(g, h, ideal) for h in homs]
+            first_fail = next((i for i, ok in enumerate(verdicts) if not ok), None)
+            assert count_preserving(g, ideal, len(homs)) == (sum(verdicts), first_fail)
+            failures += first_fail is not None
+    assert failures > 0
 
 
 def test_witness_index_reconstruction():
