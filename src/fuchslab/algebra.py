@@ -36,6 +36,18 @@ DEFAULT_UNIT_BUDGET_DIM = 24
 _VALIDATE_DIM_LIMIT = 64
 
 
+def _trusted(cls, **fields):
+    """An instance of the frozen dataclass cls, built without __post_init__.
+
+    Only for objects valid by construction: the public constructors stay the
+    place where outside input is checked.
+    """
+    obj = object.__new__(cls)
+    for name, value in fields.items():
+        object.__setattr__(obj, name, value)
+    return obj
+
+
 @dataclass(frozen=True, eq=False)
 class Algebra:
     """A commutative unital GF(2) algebra given by structure constants.
@@ -271,7 +283,8 @@ def ideal_span(a: Algebra, generators: list[AlgebraElement] | tuple[AlgebraEleme
             if closed == span:
                 break
             span = closed
-    return Ideal(a, span)
+    # closed under multiplication and in canonical RREF form by construction
+    return _trusted(Ideal, ambient=a, rref_basis=span)
 
 
 def is_unit(a: Algebra, e: AlgebraElement) -> bool:
@@ -429,7 +442,12 @@ class QuotientRing:
             )
             for i in range(qdim)
         )
-        self.quotient_algebra = Algebra(qdim, labels, table, self.project(amb.one_vector))
+        # a quotient of a commutative unital algebra by a proper ideal
+        # satisfies the ring axioms, so they are not checked again
+        self.quotient_algebra = _trusted(
+            Algebra, dim=qdim, basis_labels=labels, mult_table=table,
+            one_vector=self.project(amb.one_vector), group_basis=False,
+        )
         self.group_image = tuple(self.project(1 << i) for i in range(amb.dim))
 
     def project(self, v: AlgebraElement) -> AlgebraElement:

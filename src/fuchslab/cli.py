@@ -27,7 +27,7 @@ from .errors import (
     GroupSyntaxError,
     InfiniteGroupError,
 )
-from .groups import GroupSpec, endo_count, parse_group, render_group
+from .groups import GroupSpec, endo_count, endo_count_log10, parse_group, render_group
 from .selftest import run_all
 
 EXIT_OK = 0
@@ -204,12 +204,22 @@ def _cmd_verify(args, report, timer) -> None:
 
 def _cmd_endos(args, report, timer) -> None:
     g = parse_group(args.spec)
+    unprintable = f"|End({render_group(g)})| cannot be printed"
+    # 0 when the limit is switched off; the limit is absent before Python 3.10.7
+    limit = getattr(sys, "get_int_max_str_digits", int)()
+    # refuse before building the integer; the slack of one digit absorbs float
+    # rounding, and the exact str() check below catches the rest
+    if limit and endo_count_log10(g) > limit + 1:
+        raise BudgetExceededError(
+            f"{unprintable}: Exceeds the limit ({limit} digits) for integer string "
+            "conversion; use sys.set_int_max_str_digits() to increase the limit"
+        )
     with timer.measure("count"):
         total = endo_count(g)
     try:
         str(total)
     except ValueError as exc:  # Python's limit on int-to-string conversion
-        raise BudgetExceededError(f"|End({render_group(g)})| cannot be printed: {exc}") from None
+        raise BudgetExceededError(f"{unprintable}: {exc}") from None
     report["group"] = render_group(g)
     report["counts"] = {"group_endos": total, "realized": None}
 

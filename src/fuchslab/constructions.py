@@ -52,6 +52,9 @@ from .groups import (
 )
 
 
+DEFAULT_WITNESS_MAX_ORDER = 64
+
+
 class Reason(str, Enum):
     """Reason codes attached to classification verdicts, one per verdict."""
 
@@ -360,7 +363,7 @@ def chain_ring_ideals(k: int) -> tuple[Ideal, ...]:
     return ideals
 
 
-def construct_witness(g: GroupSpec, *, max_order: int = 64,
+def construct_witness(g: GroupSpec, *, max_order: int = DEFAULT_WITNESS_MAX_ORDER,
                       unit_budget_dim: int = DEFAULT_UNIT_BUDGET_DIM) -> QuotientRing:
     """A quotient ring that fully realizes g, for positive finite verdicts.
 
@@ -429,6 +432,14 @@ def ring_from_recipe(recipe: str) -> tuple[GroupSpec, QuotientRing]:
             if c4 not in ("true", "false"):
                 raise GroupSyntaxError(f"recipe argument c4={c4!r} must be true or false")
             with_c4 = c4 == "true"
+            if rank < 0:
+                raise GroupSyntaxError(f"recipe argument rank={rank} is negative")
+            rest = (4 if with_c4 else 1) * (3 if name == "a24xC3" else 1)
+            budget = DEFAULT_WITNESS_MAX_ORDER
+            # checked on the exponent, so a huge rank builds no tuple or power
+            if rank >= budget.bit_length() or rest << rank > budget:
+                factor = f" * {rest}" if rest > 1 else ""
+                raise BudgetExceededError(f"|G| = 2^{rank}{factor} exceeds budget {budget}")
             orders = (2,) * rank + ((4,) if with_c4 else ())
             if name == "a24xC3":
                 orders = orders + (3,)

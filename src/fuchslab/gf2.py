@@ -3,7 +3,8 @@
 A vector is an int whose bit i is coordinate i. A subspace is stored as its
 unique reduced row-echelon basis: rows sorted by pivot column, every pivot
 bit cleared from all other rows, so two subspaces are equal iff their bases
-are equal as tuples.
+are equal as tuples. A row's pivot is its lowest set bit, so `v & row & -row`
+is nonzero iff v has a 1 at that pivot.
 """
 
 from __future__ import annotations
@@ -29,13 +30,13 @@ def rref(rows: Iterable[int]) -> tuple[int, ...]:
     basis: list[int] = []  # invariant: fully reduced, distinct pivots
     for v in rows:
         for row in basis:
-            if (v >> lowest_bit(row)) & 1:
+            if v & row & -row:
                 v ^= row
         if v == 0:
             continue
-        p = lowest_bit(v)
+        pivot = v & -v
         for i, row in enumerate(basis):
-            if (row >> p) & 1:
+            if row & pivot:
                 basis[i] = row ^ v
         basis.append(v)
     basis.sort(key=lowest_bit)
@@ -45,7 +46,7 @@ def rref(rows: Iterable[int]) -> tuple[int, ...]:
 def reduce_vector(v: int, basis: Sequence[int]) -> int:
     """Remainder of v after elimination against an RREF basis."""
     for row in basis:
-        if (v >> lowest_bit(row)) & 1:
+        if v & row & -row:
             v ^= row
     return v
 
@@ -66,7 +67,7 @@ def express_in_rref(v: int, basis: Sequence[int]) -> int | None:
     """
     coeffs = 0
     for i, row in enumerate(basis):
-        if (v >> lowest_bit(row)) & 1:
+        if v & row & -row:
             coeffs |= 1 << i
             v ^= row
     return coeffs if v == 0 else None

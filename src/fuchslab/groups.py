@@ -12,7 +12,7 @@ from __future__ import annotations
 import itertools
 import re
 from dataclasses import dataclass
-from math import gcd, lcm, prod
+from math import gcd, lcm, log10, prod
 
 from .errors import GroupSyntaxError, InfiniteGroupError, OrderMismatchError
 
@@ -243,13 +243,24 @@ def order_profile(g: GroupSpec) -> dict[int, int]:
     return {n: c for n, c in profile.items() if c}
 
 
-def endo_count(g: GroupSpec) -> int:
-    """|End(g)| by the order-dividing count formula, without enumeration."""
+def _endo_count_powers(g: GroupSpec) -> list[tuple[int, int]]:
+    """Pairs (gcd(a, b), count_a * count_b) over distinct factor orders a, b,
+    whose powers multiply to |End(g)| = prod over factor pairs of gcd(d_i, d_j)."""
     if not g.is_finite:
         raise InfiniteGroupError("endomorphism counting needs a finite group")
-    return prod(
-        prod(gcd(d_i, d_j) for d_i in g.finite_orders) for d_j in g.finite_orders
-    )
+    orders = g.finite_orders
+    counts = {d: orders.count(d) for d in set(orders)}
+    return [(gcd(a, b), ca * cb) for a, ca in counts.items() for b, cb in counts.items()]
+
+
+def endo_count(g: GroupSpec) -> int:
+    """|End(g)| by the order-dividing count formula, without enumeration."""
+    return prod(base**exp for base, exp in _endo_count_powers(g))
+
+
+def endo_count_log10(g: GroupSpec) -> float:
+    """log10 |End(g)|, from the same powers, without building the integer."""
+    return sum(exp * log10(base) for base, exp in _endo_count_powers(g))
 
 
 def image_candidates(g: GroupSpec) -> list[list[GroupElement]]:

@@ -8,6 +8,7 @@ from fuchslab import (
     Algebra,
     BudgetExceededError,
     GroupSpec,
+    Ideal,
     ZeroRingError,
     augmentation,
     field_algebra,
@@ -27,6 +28,7 @@ from fuchslab import (
     units,
 )
 from fuchslab import gf2
+from fuchslab.constructions import _default_pool, _subset_ideals
 
 C2 = GroupSpec((2,))
 C3 = GroupSpec((3,))
@@ -107,6 +109,41 @@ def test_ideal_span_is_closed_for_general_algebras():
     for b in range(p.dim):
         for v in ideal.rref_basis:
             assert ideal.contains(p.mul(1 << b, v))
+
+
+def test_trusted_builds_pass_the_public_checks():
+    # ideal_span and quotient skip validation; the public constructors,
+    # which check everything, must accept what they build
+    rng = random.Random(20261018)
+    for orders in ((2, 2), (4,), (2, 4), (6,), (8,), (3, 3)):
+        g = GroupSpec(orders)
+        a = group_algebra(g)
+        for _ in range(16):
+            raw = [rng.randrange(1 << a.dim) for _ in range(rng.randint(0, 3))]
+            # mostly even weight, so most spans are proper and have a quotient
+            gens = [v ^ (v.bit_count() & 1) if rng.random() < 0.75 else v for v in raw]
+            ideal = ideal_span(a, gens)
+            Ideal(a, ideal.rref_basis)
+            if not ideal.contains(a.one_vector):
+                qa = quotient(g, ideal).quotient_algebra
+                Algebra(qa.dim, qa.basis_labels, qa.mult_table, qa.one_vector)
+    for a in (product_algebra([field_algebra(1), field_algebra(2)]), field_algebra(3)):
+        for _ in range(16):
+            gens = [rng.randrange(1 << a.dim) for _ in range(rng.randint(0, 2))]
+            Ideal(a, ideal_span(a, gens).rref_basis)
+    c44 = GroupSpec((4, 4))
+    amb = group_algebra(c44)
+    for ideal in _subset_ideals(amb, _default_pool(c44, amb), 256):
+        Ideal(amb, ideal.rref_basis)
+
+
+def test_public_ideal_rejects_non_rref_and_non_closed_bases():
+    a = group_algebra(C4)
+    with pytest.raises(ValueError, match="row-echelon"):
+        Ideal(a, (0b0011, 0b0110))  # the pivot bit 1 of the second row is set in the first
+    with pytest.raises(ValueError, match="closed"):
+        Ideal(a, (0b0001,))  # {0, 1} is a subspace, but x * 1 = x lies outside it
+    assert Ideal(a, (0b1111,)).dim == 1
 
 
 def test_quotient_examples():

@@ -1,6 +1,7 @@
 """Command-line interface: exit codes, schema stability, determinism."""
 
 import json
+import sys
 
 from fuchslab import parse_group
 from fuchslab.cli import EXIT_BUDGET, EXIT_OK, EXIT_USAGE, run
@@ -158,6 +159,29 @@ def test_endos_beyond_int_string_limit(capsys):
         code, err = _one_line_error(capsys, argv)
         assert code == EXIT_BUDGET
         assert "limit" in err and "digits" in err
+
+
+def test_endos_refused_before_the_count_is_built(capsys):
+    # |End(C2^100000)| has about 3 * 10^9 digits; it must never be built
+    for spec in ("C2^6400", "C2^100000"):
+        code, err = _one_line_error(capsys, ["endos", spec])
+        assert code == EXIT_BUDGET
+        assert f"({sys.get_int_max_str_digits()} digits)" in err
+
+
+def test_recipe_negative_rank(capsys):
+    code, err = _one_line_error(capsys, ["verify", "C1", "--ring", "a24(rank=-3)"])
+    assert code == EXIT_USAGE
+    assert "rank=-3" in err
+
+
+def test_recipe_rank_over_witness_budget(capsys):
+    # refused before a tuple of 10^9 factor orders is built
+    for name in ("a24", "a24xC3", "sumc2"):
+        recipe = f"{name}(rank=1000000000)"
+        code, err = _one_line_error(capsys, ["verify", "C1", "--ring", recipe])
+        assert code == EXIT_BUDGET
+        assert "budget 64" in err
 
 
 def test_verify_recipe_for_another_group(capsys):

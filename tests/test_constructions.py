@@ -6,9 +6,11 @@ import random
 import pytest
 
 from fuchslab import (
+    Algebra,
     BudgetExceededError,
     GroupSpec,
     GroupSyntaxError,
+    Ideal,
     InfiniteGroupError,
     NotRealizableError,
     Reason,
@@ -364,6 +366,38 @@ def test_search_rejects_bad_input():
         bounded_ideal_search(GroupSpec((4,)), pool="nonsense")
     with pytest.raises(GroupSyntaxError):
         bounded_ideal_search(GroupSpec((3, 3)), pool="chain")
+
+
+def test_spans_and_quotients_are_not_revalidated(monkeypatch):
+    # ideal_span and quotient build objects valid by construction; only the
+    # group algebras, built through the public Algebra(...), are checked
+    validated_ideals, validated_algebras = [], []
+    check_ideal, check_axioms = Ideal.__post_init__, Algebra._validate_axioms
+
+    def counted_ideal(self):
+        validated_ideals.append(self)
+        check_ideal(self)
+
+    def counted_axioms(self):
+        validated_algebras.append(self)
+        check_axioms(self)
+
+    monkeypatch.setattr(Ideal, "__post_init__", counted_ideal)
+    monkeypatch.setattr(Algebra, "_validate_axioms", counted_axioms)
+    group_algebra.cache_clear()
+    report = bounded_ideal_search(parse_group("C4 x C4"))
+    assert (report.ideals_examined, report.realizing_found, report.fully_realizing_found) == (127, 6, 0)
+    assert validated_ideals == []
+    assert [a.dim for a in validated_algebras] == [16]
+    assert all(a.group_basis for a in validated_algebras)
+
+    validated_algebras.clear()
+    group_algebra.cache_clear()
+    ring = construct_witness(parse_group("C2^2 x C12"))
+    assert ring.unit_group_invariants() == (2, 2, 12)
+    assert validated_ideals == []
+    assert sorted(a.dim for a in validated_algebras) == [16, 48]  # F2[C2^2 x C4], F2[C2^2 x C12]
+    assert all(a.group_basis for a in validated_algebras)
 
 
 def test_search_determinism():

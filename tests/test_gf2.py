@@ -44,6 +44,37 @@ def test_reduce_vector_decides_membership(rows, probe):
     assert (gf2.reduce_vector(probe, basis) == 0) == (probe in _brute_span(rows))
 
 
+wide_vectors = st.lists(st.integers(min_value=0, max_value=1 << 130), max_size=10)
+
+
+def _reference_reduce(v, basis):
+    """Elimination that finds each pivot with lowest_bit, the way the
+    library did before it tested pivots by mask."""
+    coeffs = 0
+    for i, row in enumerate(basis):
+        if (v >> gf2.lowest_bit(row)) & 1:
+            coeffs |= 1 << i
+            v ^= row
+    return v, coeffs
+
+
+@given(wide_vectors, st.integers(min_value=0, max_value=1 << 130),
+       st.integers(min_value=0, max_value=(1 << 10) - 1))
+def test_mask_pivot_tests_match_lowest_bit_reference_past_64_bits(rows, probe, mask):
+    basis = gf2.rref(rows)
+    pivots = [gf2.lowest_bit(v) for v in basis]
+    assert pivots == sorted(set(pivots))
+    assert all(not (v >> p) & 1 for v in basis for p in pivots if p != gf2.lowest_bit(v))
+    inside = 0
+    for i in gf2.bits(mask & ((1 << len(basis)) - 1)):
+        inside ^= basis[i]
+    for v in (probe, inside, probe ^ inside):
+        rest, coeffs = _reference_reduce(v, basis)
+        assert gf2.reduce_vector(v, basis) == rest
+        assert gf2.in_span(v, basis) == (rest == 0)
+        assert gf2.express_in_rref(v, basis) == (coeffs if rest == 0 else None)
+
+
 def test_express_in_rref_reconstructs():
     basis = gf2.rref([0b1010, 0b0110, 0b0011])
     for mask in range(1 << len(basis)):

@@ -1,7 +1,7 @@
 """Group specs: parsing, canonical form, elements, and endomorphisms."""
 
 import itertools
-from math import prod
+from math import gcd, prod
 
 import pytest
 from hypothesis import given
@@ -152,6 +152,12 @@ def test_endo_count_formula_matches_enumeration_up_to_64():
         assert len(enumerate_endos(g)) == endo_count(g) == prod(
             len(c) for c in image_candidates(g)
         )
+
+
+def test_grouped_endo_count_matches_pairwise_product_up_to_64():
+    for orders in _multisets_up_to(64):
+        g = GroupSpec(orders)
+        assert endo_count(g) == prod(gcd(a, b) for a in orders for b in orders)
 
 
 def test_endos_are_duplicate_free():
