@@ -11,6 +11,7 @@ from .algebra import (
     find_inverse,
     group_algebra,
     ideal_span,
+    ideal_sum,
     invariants_from_units,
     is_unit,
     multiplicative_order,

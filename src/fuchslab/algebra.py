@@ -287,6 +287,18 @@ def ideal_span(a: Algebra, generators: list[AlgebraElement] | tuple[AlgebraEleme
     return _trusted(Ideal, ambient=a, rref_basis=span)
 
 
+def ideal_sum(ideals: list[Ideal] | tuple[Ideal, ...]) -> Ideal:
+    """The sum of one or more ideals of the same algebra.
+
+    A sum of ideals is an ideal, so the RREF span of their bases needs no
+    multiplication closure and no revalidation.
+    """
+    if not ideals or any(i.ambient is not ideals[0].ambient for i in ideals):
+        raise ValueError("ideal_sum needs one or more ideals of the same algebra")
+    span = gf2.rref(v for i in ideals for v in i.rref_basis)
+    return _trusted(Ideal, ambient=ideals[0].ambient, rref_basis=span)
+
+
 def is_unit(a: Algebra, e: AlgebraElement) -> bool:
     """True iff the multiplication-by-e matrix is invertible over GF(2)."""
     pivots: dict[int, int] = {}

@@ -94,13 +94,13 @@ def _add_common_flags(parser: argparse.ArgumentParser, top_level: bool) -> None:
     )
     parser.add_argument(
         "--max-endos",
-        type=int,
+        type=_positive_int,
         help="endomorphism enumeration budget",
         **({"default": DEFAULT_MAX_ENDOS} if top_level else kwargs),
     )
     parser.add_argument(
         "--unit-dim",
-        type=int,
+        type=_positive_int,
         help="unit enumeration budget: at most 2^dim elements scanned",
         **({"default": DEFAULT_UNIT_BUDGET_DIM} if top_level else kwargs),
     )
@@ -136,11 +136,12 @@ def build_parser() -> argparse.ArgumentParser:
     search.add_argument("spec")
     search.add_argument("--pool", default="default", choices=POOLS)
     search.add_argument("--budget", type=_positive_int, default=256,
-                        help="distinct ideals examined (at least 1)")
+                        help="distinct ideals examined (at least 1); the default "
+                             "pool spans at most max(8*budget, 512) subsets")
     selftest = sub.add_parser("selftest", parents=[common])
     selftest.add_argument(
         "--max-order",
-        type=int,
+        type=_positive_int,
         default=16,
         help="order bound for the classify/witness agreement sweep",
     )

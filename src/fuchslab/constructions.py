@@ -23,6 +23,7 @@ from .algebra import (
     field_algebra,
     group_algebra,
     ideal_span,
+    ideal_sum,
     invariants_from_units,
     product_algebra,
     quotient,
@@ -311,55 +312,25 @@ def _kgproduct_glue(parts: tuple[GroupSpec, ...]) -> tuple[GroupSpec, list[dict[
 def chain_ring_ideals(k: int) -> tuple[Ideal, ...]:
     """All 2^k + 1 ideals of F2[C_{2^k}], namely ((x+1)^j) for j = 0..2^k.
 
-    Completeness is not assumed: every element is checked to generate the
-    ideal of its minimal (x+1)-power, which forces any ideal to be one of
-    the listed powers.
+    Completeness is not assumed: a structural certificate, checked on the
+    dimensions of the listed ideals, proves that no other ideal exists.
     """
     if not 1 <= k <= 4:
         raise BudgetExceededError(f"chain sweep supports k in 1..4, got {k}")
     spec = GroupSpec((2**k,))
     amb = group_algebra(spec)
-    dim = amb.dim
     s = amb.one_vector ^ _vec(spec, (1,))
-    power = amb.one_vector
-    powers = [power]
-    for _ in range(dim):
-        power = amb.mul(power, s)
-        powers.append(power)
-    ideals = tuple(ideal_span(amb, [p]) for p in powers)
+    ideals = tuple(ideal_span(amb, [amb.power(s, j)]) for j in range(amb.dim + 1))
 
-    # Every element must generate the ideal of its (x+1)-valuation; since a
-    # general ideal is a sum of principal ones, this forces the list above to
-    # be complete. The basis is the x-powers in cyclic order, so multiplying
-    # by x rotates the bits.
-    mask = (1 << dim) - 1
-    for e in range(1, 1 << dim):
-        tmp = e  # powers[j] is unitriangular in its highest bit x^j
-        val = dim
-        for j in range(dim - 1, -1, -1):
-            if (tmp >> j) & 1:
-                tmp ^= powers[j]
-                val = j
-        if not ideals[val].contains(e) or (val < dim and ideals[val + 1].contains(e)):
-            raise FuchslabError(f"valuation mismatch at {amb.element_label(e)}")
-        pivots: dict[int, int] = {}
-        rank = 0
-        v = e
-        for _ in range(dim):
-            w = v
-            while w:
-                p = (w & -w).bit_length() - 1
-                row = pivots.get(p)
-                if row is None:
-                    pivots[p] = w
-                    rank += 1
-                    break
-                w ^= row
-            v = ((v << 1) | (v >> (dim - 1))) & mask
-        if rank != dim - val:
-            raise FuchslabError(
-                f"element {amb.element_label(e)} generates an unexpected ideal"
-            )
+    # Certificate: dim (s^j) = 2^k - j for j = 0..2^k. Then dim (s^2^k) = 0,
+    # so s is nilpotent, and dim (s) = 2^k - 1 gives A/(s) = F2, so every
+    # element outside (s) is 1 + nilpotent, which is a unit. An e in (s^v)
+    # but not in (s^(v+1)) is s^v * a with a outside (s), that is s^v times
+    # a unit, so e generates (s^v). Any ideal therefore equals (s^v) for the
+    # minimal valuation v of its elements, and the list is complete; the
+    # dimensions also show that its 2^k + 1 ideals are distinct.
+    if [i.dim for i in ideals] != list(range(amb.dim, -1, -1)):
+        raise FuchslabError(f"(x+1)-power ideals of F2[C{amb.dim}] have unexpected dimensions")
     return ideals
 
 
@@ -447,6 +418,8 @@ def ring_from_recipe(recipe: str) -> tuple[GroupSpec, QuotientRing]:
             return spec, construct_witness(spec)
         if name == "chain":
             k, j = _int_arg(args, "k"), _int_arg(args, "j")
+            if k < 1:
+                raise GroupSyntaxError(f"chain exponent k={k} is below 1")
             ideals = chain_ring_ideals(k)
             if not 1 <= j <= 2**k:
                 raise GroupSyntaxError(f"chain power j={j} outside 1..{2**k}")
@@ -481,23 +454,33 @@ def _default_pool(spec: GroupSpec, amb: Algebra) -> list[int]:
 
 
 def _subset_ideals(amb: Algebra, pool: list[int], budget: int):
-    # Larger subsets mostly regenerate the same few big ideals, so the spans
+    # In a commutative ring the ideal a subset generates is the sum of the
+    # principal ideals of its members, so each pool vector is spanned once.
+    # Larger subsets mostly regenerate the same few big ideals, so the sums
     # computed are capped alongside the distinct-ideal budget.
+    principal = [ideal_span(amb, [v]) for v in pool]
     seen: set[tuple[int, ...]] = set()
     produced = 0
     work_cap = max(8 * budget, 512)
     for size in range(1, len(pool) + 1):
         if produced >= budget or work_cap <= 0:
             return
+        before = produced
         for combo in itertools.combinations(range(len(pool)), size):
             work_cap -= 1
-            ideal = ideal_span(amb, [pool[i] for i in combo])
+            ideal = ideal_sum([principal[i] for i in combo])
             if ideal.rref_basis not in seen:
                 seen.add(ideal.rref_basis)
                 yield ideal
                 produced += 1
             if produced >= budget or work_cap <= 0:
                 return
+        # A level that adds nothing ends the search. For a subset C u {i} of
+        # the next size, this level gave sum(C) = sum(D) for a smaller D, so
+        # sum(C u {i}) = sum(D) + p_i = sum(D u {i}), and D u {i} is no larger
+        # than C. The next level adds nothing either, nor any after it.
+        if produced == before:
+            return
 
 
 def _fieldprod_kernels(spec: GroupSpec, budget: int):

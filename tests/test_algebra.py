@@ -15,6 +15,7 @@ from fuchslab import (
     find_inverse,
     group_algebra,
     ideal_span,
+    ideal_sum,
     is_unit,
     multiplicative_order,
     present_over,
@@ -135,6 +136,25 @@ def test_trusted_builds_pass_the_public_checks():
     amb = group_algebra(c44)
     for ideal in _subset_ideals(amb, _default_pool(c44, amb), 256):
         Ideal(amb, ideal.rref_basis)
+
+
+def test_ideal_sum_of_principal_ideals_is_the_span():
+    # in a commutative ring the ideal of a generating set is the sum of the
+    # principal ideals of its members
+    rng = random.Random(20261019)
+    algebras = [group_algebra(GroupSpec(orders))
+                for orders in ((2, 2), (4,), (2, 4), (6,), (8,), (3, 3))]
+    algebras += [product_algebra([field_algebra(1), field_algebra(2)]), field_algebra(3)]
+    for a in algebras:
+        for _ in range(16):
+            gens = [rng.randrange(1 << a.dim) for _ in range(rng.randint(1, 4))]
+            result = ideal_sum([ideal_span(a, [v]) for v in gens])
+            assert result.rref_basis == ideal_span(a, gens).rref_basis
+            Ideal(a, result.rref_basis)
+    with pytest.raises(ValueError):
+        ideal_sum([])
+    with pytest.raises(ValueError):
+        ideal_sum([ideal_span(algebras[0], [1]), ideal_span(algebras[1], [1])])
 
 
 def test_public_ideal_rejects_non_rref_and_non_closed_bases():

@@ -3,7 +3,9 @@
 import json
 import sys
 
-from fuchslab import parse_group
+import pytest
+
+from fuchslab import constructions, parse_group
 from fuchslab.cli import EXIT_BUDGET, EXIT_OK, EXIT_USAGE, run
 
 
@@ -188,3 +190,43 @@ def test_verify_recipe_for_another_group(capsys):
     code, err = _one_line_error(capsys, ["verify", "C2", "--ring", "chain(k=2,j=1)"])
     assert code == EXIT_USAGE
     assert "C4" in err and "C2" in err
+
+
+@pytest.mark.parametrize("flag,argv", [
+    ("--max-endos", ["verify", "C2^4", "--max-endos", "-1"]),
+    ("--max-endos", ["--max-endos", "0", "verify", "C2^4"]),
+    ("--unit-dim", ["construct", "C2^2", "--unit-dim", "-5"]),
+    ("--unit-dim", ["--unit-dim", "0", "construct", "C2^2"]),
+    ("--max-order", ["selftest", "--max-order", "-3"]),
+])
+def test_budget_flags_below_one(capsys, flag, argv):
+    assert run(argv) == EXIT_USAGE
+    assert f"argument {flag}" in capsys.readouterr().err
+
+
+def test_chain_recipe_exponent(capsys):
+    code, err = _one_line_error(capsys, ["verify", "C4", "--ring", "chain(k=0,j=1)"])
+    assert code == EXIT_USAGE
+    assert "k=0" in err
+    code, err = _one_line_error(capsys, ["verify", "C32", "--ring", "chain(k=5,j=1)"])
+    assert code == EXIT_BUDGET
+    assert "k in 1..4" in err
+
+
+def test_search_stops_once_a_level_adds_nothing(capsys, monkeypatch):
+    # every ideal the C2 x C4 pool reaches appears by subset size 2; without
+    # the stop, budget 100000 walks 800,000 subsets of its 20-element pool
+    sums = []
+    real_sum = constructions.ideal_sum
+
+    def counted_sum(ideals):
+        sums.append(len(ideals))
+        return real_sum(ideals)
+
+    monkeypatch.setattr(constructions, "ideal_sum", counted_sum)
+    code, wide = _run_json(capsys, ["search", "C2 x C4", "--budget", "100000"])
+    assert code == EXIT_OK
+    assert len(sums) <= 1350
+    code, narrow = _run_json(capsys, ["search", "C2 x C4", "--budget", "256"])
+    assert code == EXIT_OK
+    assert wide == narrow

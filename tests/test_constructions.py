@@ -8,6 +8,7 @@ import pytest
 from fuchslab import (
     Algebra,
     BudgetExceededError,
+    FuchslabError,
     GroupSpec,
     GroupSyntaxError,
     Ideal,
@@ -23,6 +24,7 @@ from fuchslab import (
     endo_count,
     fully_realizes,
     group_algebra,
+    ideal_span,
     kgproduct_ambient,
     kgproduct_embeddings,
     kgproduct_ideal,
@@ -32,7 +34,8 @@ from fuchslab import (
     star_ideal,
     unit_group_invariants,
 )
-from fuchslab.constructions import _pair_vector, _vec
+from fuchslab import constructions, gf2
+from fuchslab.constructions import _default_pool, _pair_vector, _subset_ideals, _vec
 from fuchslab.groups import add_elements, elements, identity_element
 
 
@@ -257,6 +260,53 @@ def test_chain_ring_budget():
         chain_ring_ideals(5)
 
 
+def _x_plus_1_valuation(e):
+    # (x+1) divides e(x) iff e(1) = 0, i.e. e has even weight; the quotient's
+    # coefficient i is the parity of the coefficients 0..i of e
+    v = 0
+    while e.bit_count() % 2 == 0:
+        q = acc = 0
+        for i in range(e.bit_length()):
+            acc ^= (e >> i) & 1
+            q |= acc << i
+        e, v = q, v + 1
+    return v
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 4])
+def test_chain_ring_ideals_brute_force(k):
+    # independent of the certificate: every nonzero e generates the listed
+    # ideal of its (x+1)-valuation, so no ideal is missing from the list
+    n = 2**k
+    mask = (1 << n) - 1
+    ideals = chain_ring_ideals(k)
+    for e in range(1, 1 << n):
+        rotations = [((e << i) | (e >> (n - i))) & mask for i in range(n)]
+        assert gf2.rref(rotations) == ideals[_x_plus_1_valuation(e)].rref_basis
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 4])
+def test_chain_ring_certificate_rejects_a_wrong_power(monkeypatch, k):
+    # the ideal of (x+1)^j comes back as that of (x+1)^(j-1), one dim too big
+    amb = group_algebra(GroupSpec((2**k,)))
+    j = 2 ** (k - 1)
+    wrong, right = amb.power(0b11, j), amb.power(0b11, j - 1)
+    real_span = constructions.ideal_span
+
+    def mutated_span(a, gens):
+        return real_span(a, [right] if list(gens) == [wrong] else gens)
+
+    chain_ring_ideals.cache_clear()
+    monkeypatch.setattr(constructions, "ideal_span", mutated_span)
+    try:
+        with pytest.raises(FuchslabError):
+            chain_ring_ideals(k)
+    finally:
+        monkeypatch.undo()
+        chain_ring_ideals.cache_clear()
+    assert len(chain_ring_ideals(k)) == 2**k + 1
+
+
 # --- witnesses and recipes ------------------------------------------------------
 
 # every fully realizable group of order <= 64; the ring has dimension
@@ -398,6 +448,27 @@ def test_spans_and_quotients_are_not_revalidated(monkeypatch):
     assert validated_ideals == []
     assert sorted(a.dim for a in validated_algebras) == [16, 48]  # F2[C2^2 x C4], F2[C2^2 x C12]
     assert all(a.group_basis for a in validated_algebras)
+
+
+@pytest.mark.parametrize("text", ["C3 x C3", "C2 x C8", "C2^4"])
+def test_subset_ideals_match_a_span_per_subset(text):
+    # reference: span every subset from scratch, with the same order and caps
+    g = parse_group(text)
+    amb = group_algebra(g)
+    pool = _default_pool(g, amb)
+    budget, work_cap = 256, max(8 * 256, 512)
+    expected, seen = [], set()
+    for size in range(1, len(pool) + 1):
+        for combo in itertools.combinations(range(len(pool)), size):
+            if len(expected) >= budget or work_cap <= 0:
+                break
+            work_cap -= 1
+            basis = ideal_span(amb, [pool[i] for i in combo]).rref_basis
+            if basis not in seen:
+                seen.add(basis)
+                expected.append(basis)
+    got = [ideal.rref_basis for ideal in _subset_ideals(amb, pool, budget)]
+    assert got == expected
 
 
 def test_search_determinism():
