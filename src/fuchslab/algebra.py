@@ -262,27 +262,15 @@ class Ideal:
 
 
 def ideal_span(a: Algebra, generators: list[AlgebraElement] | tuple[AlgebraElement, ...]) -> Ideal:
-    """Smallest ideal of `a` containing the generators.
+    """Smallest ideal of `a` containing the generators, in one pass.
 
-    For a group-algebra basis one orbit pass {b*v} is already closed, since
-    the basis spans the algebra and is a group; otherwise multiplication
-    closure is iterated to a fixed point.
+    In a commutative unital algebra the ideal generated by v is
+    A*v = span{b*v} over the basis b: it contains v = 1*v, and
+    a*(b*v) = (a*b)*v stays inside it. So the products of the basis with
+    the generators span the ideal, with no closure loop.
     """
     gens = tuple(g for g in generators if g)
-    if a.group_basis:
-        span = gf2.rref(
-            a.mul(1 << b, v) for b in range(a.dim) for v in gens
-        )
-    else:
-        span = gf2.rref(gens)
-        while True:
-            products = [
-                a.mul(1 << b, v) for b in range(a.dim) for v in span
-            ]
-            closed = gf2.rref(list(span) + products)
-            if closed == span:
-                break
-            span = closed
+    span = gf2.rref(a.mul(1 << b, v) for b in range(a.dim) for v in gens)
     # closed under multiplication and in canonical RREF form by construction
     return _trusted(Ideal, ambient=a, rref_basis=span)
 
@@ -470,13 +458,6 @@ class QuotientRing:
             acc |= 1 << self._coord_of[b]
         return acc
 
-    def lift(self, q: AlgebraElement) -> AlgebraElement:
-        """The canonical coset representative in the ambient algebra."""
-        acc = 0
-        for b in gf2.bits(q):
-            acc |= 1 << self._nonpivot[b]
-        return acc
-
     @property
     def dim(self) -> int:
         return self.quotient_algebra.dim
@@ -491,10 +472,15 @@ class QuotientRing:
 
     @property
     def unit_to_group(self) -> dict[AlgebraElement, GroupElement] | None:
+        """The package's one test that the units are exactly the image of G."""
         if not hasattr(self, "_unit_to_group"):
             els = elements(self.parent_group)
+            # more units than group elements already rules out equality
+            found = units(self.quotient_algebra, budget_dim=self._unit_budget_dim, cap=len(els))
+            if found is not None:
+                self._unit_elements = found
             image = dict(zip(self.group_image, els))
-            ok = len(image) == len(els) and set(image) == self.unit_elements
+            ok = found is not None and len(image) == len(els) and set(image) == found
             self._unit_to_group = image if ok else None
         return self._unit_to_group
 

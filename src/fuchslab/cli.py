@@ -31,6 +31,7 @@ from .groups import GroupSpec, endo_count, endo_count_log10, parse_group, render
 from .selftest import run_all
 
 EXIT_OK = 0
+EXIT_CHECK_FAILED = 1
 EXIT_USAGE = 2
 EXIT_BUDGET = 3
 
@@ -148,22 +149,22 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _cmd_classify(args, report, timer) -> None:
-    with timer.measure("classify"):
-        verdict = classify(parse_group(args.spec))
+def _report_verdict(report, verdict):
     report["group"] = render_group(verdict.group)
     report["fully_realizable"] = verdict.fully_realizable
     report["reason"] = verdict.reason.value
     report["witness_recipe"] = verdict.recipe
+    return verdict
+
+
+def _cmd_classify(args, report, timer) -> None:
+    with timer.measure("classify"):
+        _report_verdict(report, classify(parse_group(args.spec)))
 
 
 def _cmd_construct(args, report, timer) -> None:
     g = parse_group(args.spec)
-    verdict = classify(g)
-    report["group"] = render_group(verdict.group)
-    report["fully_realizable"] = verdict.fully_realizable
-    report["reason"] = verdict.reason.value
-    report["witness_recipe"] = verdict.recipe
+    verdict = _report_verdict(report, classify(g))
     if verdict.fully_realizable and verdict.group.is_finite:
         with timer.measure("construct"):
             ring = construct_witness(g, unit_budget_dim=args.unit_dim)
@@ -173,11 +174,7 @@ def _cmd_construct(args, report, timer) -> None:
 
 def _cmd_verify(args, report, timer) -> None:
     g = parse_group(args.spec)
-    verdict = classify(g)
-    report["group"] = render_group(verdict.group)
-    report["fully_realizable"] = verdict.fully_realizable
-    report["reason"] = verdict.reason.value
-    report["witness_recipe"] = verdict.recipe
+    verdict = _report_verdict(report, classify(g))
     if args.ring is not None:
         with timer.measure("construct"):
             spec, ring = ring_from_recipe(args.ring)
@@ -237,12 +234,13 @@ def _cmd_search(args, report, timer) -> None:
     report["exhaustive"] = outcome.exhaustive
 
 
-def _cmd_selftest(args, report, timer) -> None:
+def _cmd_selftest(args, report, timer) -> int:
     with timer.measure("selftest"):
         results = run_all(max_order=args.max_order)
     report["criteria"] = [
         {"name": r.name, "passed": r.passed, "detail": r.detail} for r in results
     ]
+    return EXIT_OK if all(r.passed for r in results) else EXIT_CHECK_FAILED
 
 
 _COMMANDS = {
@@ -293,7 +291,8 @@ def run(argv: list[str]) -> int:
     timer = _Timer()
     report = _skeleton(args.command)
     try:
-        _COMMANDS[args.command](args, report, timer)
+        # only selftest returns a code: EXIT_CHECK_FAILED when a criterion fails
+        code = _COMMANDS[args.command](args, report, timer)
     except GroupSyntaxError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
@@ -301,7 +300,7 @@ def run(argv: list[str]) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BUDGET
     _emit(report, args.json, not args.no_timings, timer)
-    return EXIT_OK
+    return code or EXIT_OK
 
 
 def main() -> None:

@@ -24,13 +24,12 @@ from .algebra import (
     group_algebra,
     ideal_span,
     ideal_sum,
-    invariants_from_units,
     product_algebra,
     quotient,
     unit_embedding_kernel,
     units,
 )
-from .endo import count_preserving
+from .endo import fully_realizes
 from .errors import (
     BudgetExceededError,
     FuchslabError,
@@ -46,8 +45,8 @@ from .groups import (
     element_index,
     element_order,
     elements,
-    endo_count,
     identity_element,
+    order_within,
     prime_power_split,
     scale_element,
 )
@@ -96,7 +95,9 @@ def classify(g: GroupSpec) -> ClassificationVerdict:
     """
     c = canonicalize(g)
     n = c.infinite_rank
-    primary = [prime_power_split(d) for d in c.finite_orders]
+    # factor each distinct order once; a spec may repeat one order 10^6 times
+    split = {d: prime_power_split(d) for d in set(c.finite_orders)}
+    primary = [split[d] for d in c.finite_orders]
     q4 = sum(1 for f in primary if f.get(2, 0) == 2)
     s3 = sum(1 for f in primary if f.get(3, 0) == 1)
     t3 = sum(1 for f in primary if f.get(3, 0) >= 1)
@@ -141,7 +142,10 @@ def _pair_vector(spec: GroupSpec, a: GroupElement, b: GroupElement) -> int:
     )
 
 
-def _a24_spec(rank: int, with_c4: bool) -> GroupSpec:
+def _a24_spec(rank: int, with_c4: bool, max_rank: int | None) -> GroupSpec:
+    limit = max_rank if max_rank is not None else (3 if with_c4 else 5)
+    if rank < 0 or rank > limit:
+        raise BudgetExceededError(f"rank {rank} outside 0..{limit}")
     return GroupSpec((2,) * rank + ((4,) if with_c4 else ()))
 
 
@@ -152,10 +156,7 @@ def a24_ideal(rank: int, with_c4: bool, *, max_rank: int | None = None) -> Ideal
     Without the C4 factor only the pair family remains; its quotient has
     unit group C2^rank and dimension rank + 1.
     """
-    limit = max_rank if max_rank is not None else (3 if with_c4 else 5)
-    if rank < 0 or rank > limit:
-        raise BudgetExceededError(f"rank {rank} outside 0..{limit}")
-    spec = _a24_spec(rank, with_c4)
+    spec = _a24_spec(rank, with_c4, max_rank)
     r = spec.rank
 
     def x_subset(subset: tuple[int, ...]) -> GroupElement:
@@ -189,10 +190,7 @@ def star_ideal(rank: int, with_c4: bool, *, max_tuple_len: int = 4,
     Expected to coincide with a24_ideal at every rank; the equality is
     asserted computationally by the test suite rather than assumed.
     """
-    limit = max_rank if max_rank is not None else (3 if with_c4 else 5)
-    if rank < 0 or rank > limit:
-        raise BudgetExceededError(f"rank {rank} outside 0..{limit}")
-    spec = _a24_spec(rank, with_c4)
+    spec = _a24_spec(rank, with_c4, max_rank)
     els = elements(spec)
     gens: list[int] = []
     for n in range(1, max_tuple_len + 1):
@@ -348,14 +346,13 @@ def construct_witness(g: GroupSpec, *, max_order: int = DEFAULT_WITNESS_MAX_ORDE
     c = verdict.group
     if not c.is_finite:
         raise InfiniteGroupError(f"witness for {c} is symbolic-only")
-    if c.torsion_order > max_order:
-        raise BudgetExceededError(f"|G| = {c.torsion_order} exceeds budget {max_order}")
+    order_within(c, max_order, f"budget {max_order}")
 
     twos = [prime_power_split(d).get(2, 0) for d in c.finite_orders]
     rank, with_c4 = twos.count(1), 2 in twos
     ideal = a24_ideal(rank, with_c4, max_rank=rank)
     if c.torsion_order % 3 == 0:
-        w = _a24_spec(rank, with_c4)
+        w = _a24_spec(rank, with_c4, rank)
         ambient, (to_ambient, _), glue = _kgproduct_glue((w, GroupSpec((3,))))
         els = elements(w)
         # the embedding is injective, so each sum adds distinct basis bits
@@ -511,17 +508,18 @@ def _fieldprod_kernels(spec: GroupSpec, budget: int):
 POOLS = ("default", "chain", "fieldprod")
 
 
-def bounded_ideal_search(g: GroupSpec, pool: str = "default", budget: int = 256,
-                         *, max_endos: int = 10**6) -> SearchReport:
+def bounded_ideal_search(g: GroupSpec, pool: str = "default", budget: int = 256) -> SearchReport:
     """Sweep ideals from the selected pool, quotient the admissible ones, and
     count how many realize / fully realize g. Exhaustive only for the chain
-    pool on cyclic 2-groups, where the ideal list is provably complete."""
+    pool on cyclic 2-groups, where the ideal list is provably complete.
+
+    The bound |G| <= 16 keeps every quotient inside the default unit budget
+    and |End(G)| <= 65,536 inside the default endomorphism budget.
+    """
     c = canonicalize(g)
     if not c.is_finite:
         raise InfiniteGroupError("searches need a finite group")
-    order = c.torsion_order
-    if order > 16:
-        raise BudgetExceededError(f"|G| = {order} exceeds the search bound 16")
+    order = order_within(c, 16, "the search bound 16")
     amb = group_algebra(c)
     chain_k = None
     if len(c.finite_orders) == 1 and prime_power_split(c.finite_orders[0]).keys() == {2}:
@@ -542,29 +540,18 @@ def bounded_ideal_search(g: GroupSpec, pool: str = "default", budget: int = 256,
         raise GroupSyntaxError(f"unknown pool {pool!r}; choose from {POOLS}")
 
     examined = realizing = fully = 0
-    target_inv = c.finite_orders
-    total_endos = endo_count(c)
     for ideal in stream:
         examined += 1
-        qdim = amb.dim - ideal.dim
-        if ideal.contains(amb.one_vector) or (1 << qdim) - 1 < order:
-            continue
-        if qdim > DEFAULT_UNIT_BUDGET_DIM:
+        if ideal.contains(amb.one_vector) or (1 << (amb.dim - ideal.dim)) - 1 < order:
             continue
         q = quotient(c, ideal)
-        unit_set = units(q.quotient_algebra, cap=order)
-        if unit_set is None or len(unit_set) != order:
-            continue
-        image = set(q.group_image)
-        if len(image) != order or image != set(unit_set):
-            continue
-        if invariants_from_units(q.quotient_algebra, unit_set) != target_inv:
+        # No check of the unit group's invariants is needed: the projection
+        # is a ring map, so on G it is a group homomorphism into the units,
+        # and one-to-one and onto them it makes them isomorphic to G.
+        if q.unit_to_group is None:
             continue
         realizing += 1
-        if total_endos <= max_endos:
-            preserved, _ = count_preserving(c, ideal, total_endos)
-            if preserved == total_endos:
-                fully += 1
+        fully += fully_realizes(q, c).fully_realizes
     exhaustive = pool == "chain" and chain_k is not None and budget >= 2**chain_k + 1
     return SearchReport(
         group=c,

@@ -83,14 +83,12 @@ def _scan_data(g: GroupSpec, ideal: Ideal) -> tuple:
     return (tuple(len(c) for c in cands), cands, cayley, red, steps, checks)
 
 
-def _scan_endos(data: tuple, total: int) -> tuple[int, int | None]:
-    """Count ideal-preserving endomorphisms among the first `total` in
-    enumeration order; also report the first failing index, for
-    deterministic witnesses."""
+def _scan_endos(data: tuple, total: int) -> bytearray:
+    """One verdict byte per endomorphism among the first `total` in
+    enumeration order: 1 if it preserves the ideal, else 0."""
     sizes, cands, cayley, red, steps, checks = data
     digits = [0] * len(sizes)
-    preserved = 0
-    first_fail: int | None = None
+    kept = bytearray(total)
     for t in range(total):
         chosen = [cands[j][d] for j, d in enumerate(digits)]
         imgs = []
@@ -110,79 +108,76 @@ def _scan_endos(data: tuple, total: int) -> tuple[int, int | None]:
                 ok = False
                 break
         if ok:
-            preserved += 1
-        elif first_fail is None:
-            first_fail = t
+            kept[t] = 1
         for j in range(len(digits) - 1, -1, -1):
             digits[j] += 1
             if digits[j] < sizes[j]:
                 break
             digits[j] = 0
-    return preserved, first_fail
+    return kept
 
 
 def count_preserving(g: GroupSpec, ideal: Ideal, total: int) -> tuple[int, int | None]:
     """Count the endomorphisms of g whose extension preserves the ideal, and
     the enumeration index of the first one that does not (None if all do)."""
-    return _scan_endos(_scan_data(g, ideal), total)
+    kept = _scan_endos(_scan_data(g, ideal), total)
+    first_fail = kept.find(0)
+    return kept.count(1), None if first_fail < 0 else first_fail
 
 
-def _hom_from_index(g: GroupSpec, index: int) -> GroupHom:
+def _homs_from_indices(g: GroupSpec, indices) -> list[GroupHom]:
+    """The endomorphisms at the given enumeration indices: mixed-radix
+    digits over image_candidates(g), the last generator fastest."""
     cands = image_candidates(g)
-    digits = []
-    for cand in reversed(cands):
-        digits.append(index % len(cand))
-        index //= len(cand)
-    digits.reverse()
-    return GroupHom(g, g, tuple(cand[d] for cand, d in zip(cands, digits)))
+    homs = []
+    for index in indices:
+        images = []
+        for cand in reversed(cands):
+            index, digit = divmod(index, len(cand))
+            images.append(cand[digit])
+        homs.append(GroupHom(g, g, tuple(reversed(images))))
+    return homs
+
+
+def _endo_total(g: GroupSpec, max_endos: int) -> int:
+    """|End(g)|, refused when it exceeds the enumeration budget."""
+    total = endo_count(g)
+    if total > max_endos:
+        raise BudgetExceededError(f"|End(G)| = {total} exceeds the budget {max_endos}")
+    return total
 
 
 def ring_endos(q: QuotientRing, *, max_endos: int = DEFAULT_MAX_ENDOS) -> list[GroupHom]:
-    """The group endomorphisms of G that lift to ring endomorphisms of q.
+    """The group endomorphisms of G that lift to ring endomorphisms of q,
+    read from the scan's verdicts in enumeration order.
 
     Requires the unit group of q to be exactly the image of G, so that the
     returned list is in bijection with End(q).
     """
     g = q.parent_group
     if q.unit_to_group is None:
-        raise UnitGroupMismatchError(
-            "the unit group is not the image of the presenting group"
-        )
-    total = endo_count(g)
-    if total > max_endos:
-        raise BudgetExceededError(f"|End(G)| = {total} exceeds the budget {max_endos}")
-    kept = []
-    for images in itertools.product(*image_candidates(g)):
-        hom = GroupHom(g, g, images)
-        if preserves_ideal(g, hom, q.ideal):
-            kept.append(hom)
-    return kept
+        raise UnitGroupMismatchError("the unit group is not the image of the presenting group")
+    kept = _scan_endos(_scan_data(g, q.ideal), _endo_total(g, max_endos))
+    return _homs_from_indices(g, (t for t, ok in enumerate(kept) if ok))
 
 
 def fully_realizes(q: QuotientRing, expected: GroupSpec,
                    *, max_endos: int = DEFAULT_MAX_ENDOS) -> RealizabilityReport:
     """Full-realizability verdict for q against the expected unit group.
 
-    unit_group_ok requires the unit set to be exactly the image of G and its
-    invariant factors to match the expected group. The witness, when one
-    exists, is the first endomorphism in enumeration order that does not
-    preserve the ideal.
+    unit_group_ok requires the unit set to be exactly the image of G, and G
+    to be the expected group. The witness, when one exists, is the first
+    endomorphism in enumeration order that does not preserve the ideal.
     """
     g = q.parent_group
-    total = endo_count(g)
-    if total > max_endos:
-        raise BudgetExceededError(f"|End(G)| = {total} exceeds the budget {max_endos}")
+    total = _endo_total(g, max_endos)
     expected_c = canonicalize(expected)
-    unit_ok = (
-        expected_c.is_finite
-        and q.unit_to_group is not None
-        and q.unit_group_invariants() == expected_c.finite_orders
-    )
+    unit_ok = q.unit_to_group is not None and canonicalize(g) == expected_c
     realized, first_fail = count_preserving(g, q.ideal, total)
     fully = unit_ok and realized == total
     witness = None
     if unit_ok and not fully and first_fail is not None:
-        witness = _hom_from_index(g, first_fail)
+        witness = _homs_from_indices(g, [first_fail])[0]
     return RealizabilityReport(
         group=expected_c,
         ring_dim=q.dim,

@@ -55,10 +55,6 @@ def in_span(v: int, basis: Sequence[int]) -> bool:
     return reduce_vector(v, basis) == 0
 
 
-def rank(rows: Iterable[int]) -> int:
-    return len(rref(rows))
-
-
 def express_in_rref(v: int, basis: Sequence[int]) -> int | None:
     """Coefficient mask c with v = XOR of the rows selected by c, or None.
 
@@ -77,21 +73,11 @@ def kernel_of_images(images: Sequence[int], width: int) -> tuple[int, ...]:
     """Kernel of the linear map sending domain basis vector i to images[i].
 
     The images live in a codomain of `width` bits; the kernel comes back as
-    an RREF basis in the domain (bit i = domain coordinate i).
+    an RREF basis in the domain (bit i = domain coordinate i). It is read
+    off the RREF of the rows image_i | e_i shifted past `width`: the rows
+    with no image bits span the kernel, and their pivots lie past `width`,
+    so shifted down they are already in canonical form.
     """
     mask = (1 << width) - 1
-    pivots: dict[int, int] = {}  # pivot column -> augmented row
-    kernel: list[int] = []
-    for i, img in enumerate(images):
-        v = (img & mask) | (1 << (width + i))
-        while v & mask:
-            p = lowest_bit(v & mask)
-            row = pivots.get(p)
-            if row is None:
-                pivots[p] = v
-                v = 0
-                break
-            v ^= row
-        if v:
-            kernel.append(v >> width)
-    return rref(kernel)
+    rows = rref((img & mask) | (1 << (width + i)) for i, img in enumerate(images))
+    return tuple(row >> width for row in rows if not row & mask)

@@ -11,14 +11,20 @@ from __future__ import annotations
 
 import itertools
 import re
+from collections import Counter
 from dataclasses import dataclass
 from math import gcd, lcm, log10, prod
 
-from .errors import GroupSyntaxError, InfiniteGroupError, OrderMismatchError
+from .errors import BudgetExceededError, GroupSyntaxError, InfiniteGroupError, OrderMismatchError
 
 GroupElement = tuple[int, ...]
 
 _FACTOR_RE = re.compile(r"C(inf|[0-9]+)(?:\^([0-9]+))?")
+
+# Parser bounds: a larger order keeps trial division in prime_power_split
+# going for minutes; more factors build lists no command can use.
+MAX_CYCLIC_ORDER = 10**12
+MAX_FACTORS = 10**6
 
 
 @dataclass(frozen=True)
@@ -104,7 +110,8 @@ def parse_group(text: str) -> GroupSpec:
 
     Grammar: GROUP := FACTOR ("x" FACTOR)*; FACTOR := "C"N("^"R)? | "Cinf"("^"R)?
     with N >= 1 and R >= 1; whitespace around the "x" separator is optional,
-    and "C1" factors are dropped.
+    and "C1" factors are dropped. N > MAX_CYCLIC_ORDER or more than
+    MAX_FACTORS factors raise BudgetExceededError before any int() or list.
 
     >>> parse_group("C2^3 x C4 x C3").finite_orders
     (2, 2, 2, 12)
@@ -118,18 +125,28 @@ def parse_group(text: str) -> GroupSpec:
         m = _FACTOR_RE.fullmatch(token)
         if m is None:
             raise GroupSyntaxError(f"bad group factor {token!r} in {text!r}")
-        repeat = int(m.group(2)) if m.group(2) is not None else 1
+        repeat = _bounded_int(m.group(2) or "1", MAX_FACTORS, "factor count")
         if repeat < 1:
             raise GroupSyntaxError(f"factor repeat must be >= 1 in {token!r}")
+        if len(orders) + inf_rank + repeat > MAX_FACTORS:
+            raise BudgetExceededError(f"factor count exceeds the limit {MAX_FACTORS}")
         if m.group(1) == "inf":
             inf_rank += repeat
         else:
-            n = int(m.group(1))
+            n = _bounded_int(m.group(1), MAX_CYCLIC_ORDER, "cyclic order")
             if n == 0:
                 raise GroupSyntaxError(f"cyclic order 0 in {token!r}")
             if n > 1:
                 orders.extend([n] * repeat)
     return canonicalize(GroupSpec(tuple(orders), inf_rank))
+
+
+def _bounded_int(digits: str, limit: int, what: str) -> int:
+    """int(digits), refused by digit count before converting if over the limit."""
+    digits = digits.lstrip("0") or "0"
+    if len(digits) > len(str(limit)) or int(digits) > limit:
+        raise BudgetExceededError(f"{what} exceeds the limit {limit}")
+    return int(digits)
 
 
 def render_group(g: GroupSpec) -> str:
@@ -167,9 +184,9 @@ def canonicalize(g: GroupSpec) -> GroupSpec:
     (2, 12)
     """
     per_prime: dict[int, list[int]] = {}
-    for d in g.finite_orders:
+    for d, count in Counter(g.finite_orders).items():
         for p, e in prime_power_split(d).items():
-            per_prime.setdefault(p, []).append(e)
+            per_prime.setdefault(p, []).extend([e] * count)
     for exps in per_prime.values():
         exps.sort(reverse=True)
     depth = max((len(v) for v in per_prime.values()), default=0)
@@ -178,6 +195,16 @@ def canonicalize(g: GroupSpec) -> GroupSpec:
         d = prod(p ** exps[k] for p, exps in per_prime.items() if k < len(exps))
         factors.append(d)
     return GroupSpec(tuple(reversed(factors)), g.infinite_rank)
+
+
+def order_within(g: GroupSpec, bound: int, budget: str) -> int:
+    """|g|, or BudgetExceededError naming the budget when it exceeds bound.
+    Past 64 factors it names |g| >= 2^rank: no huge product is built or printed."""
+    if g.rank > 64 and g.rank >= bound.bit_length():
+        raise BudgetExceededError(f"|G| >= 2^{g.rank} exceeds {budget}")
+    if g.torsion_order > bound:
+        raise BudgetExceededError(f"|G| = {g.torsion_order} exceeds {budget}")
+    return g.torsion_order
 
 
 def elements(g: GroupSpec) -> list[GroupElement]:

@@ -250,8 +250,6 @@ def _factor_multisets(bound: int):
     out: list[tuple[int, ...]] = [()]
     def extend(prefix: tuple[int, ...], smallest: int, room: int):
         for d in range(smallest, room + 1):
-            if room // d < 1:
-                break
             out.append(prefix + (d,))
             extend(prefix + (d,), d, room // d)
     extend((), 2, bound)

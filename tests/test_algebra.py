@@ -11,6 +11,7 @@ from fuchslab import (
     Ideal,
     ZeroRingError,
     augmentation,
+    construct_witness,
     field_algebra,
     find_inverse,
     group_algebra,
@@ -34,6 +35,16 @@ from fuchslab.constructions import _default_pool, _subset_ideals
 C2 = GroupSpec((2,))
 C3 = GroupSpec((3,))
 C4 = GroupSpec((4,))
+
+
+def _non_group_non_field_algebras():
+    # quotient algebras: neither a group basis nor a field, so ideal_span's
+    # one pass rests on A*v being the ideal of v in a commutative unital ring
+    a = group_algebra(C4)
+    return [
+        quotient(C4, ideal_span(a, [a.power(0b0011, 3)])).quotient_algebra,
+        construct_witness(GroupSpec((2, 2, 4))).quotient_algebra,
+    ]
 
 
 def test_group_algebra_dims():
@@ -128,7 +139,8 @@ def test_trusted_builds_pass_the_public_checks():
             if not ideal.contains(a.one_vector):
                 qa = quotient(g, ideal).quotient_algebra
                 Algebra(qa.dim, qa.basis_labels, qa.mult_table, qa.one_vector)
-    for a in (product_algebra([field_algebra(1), field_algebra(2)]), field_algebra(3)):
+    fields = [product_algebra([field_algebra(1), field_algebra(2)]), field_algebra(3)]
+    for a in fields + _non_group_non_field_algebras():
         for _ in range(16):
             gens = [rng.randrange(1 << a.dim) for _ in range(rng.randint(0, 2))]
             Ideal(a, ideal_span(a, gens).rref_basis)
@@ -145,6 +157,7 @@ def test_ideal_sum_of_principal_ideals_is_the_span():
     algebras = [group_algebra(GroupSpec(orders))
                 for orders in ((2, 2), (4,), (2, 4), (6,), (8,), (3, 3))]
     algebras += [product_algebra([field_algebra(1), field_algebra(2)]), field_algebra(3)]
+    algebras += _non_group_non_field_algebras()
     for a in algebras:
         for _ in range(16):
             gens = [rng.randrange(1 << a.dim) for _ in range(rng.randint(1, 4))]

@@ -1,12 +1,17 @@
 """Command-line interface: exit codes, schema stability, determinism."""
 
+import contextlib
+import io
 import json
 import sys
 
 import pytest
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
 
-from fuchslab import constructions, parse_group
-from fuchslab.cli import EXIT_BUDGET, EXIT_OK, EXIT_USAGE, run
+from fuchslab import cli, constructions, parse_group
+from fuchslab.cli import EXIT_BUDGET, EXIT_CHECK_FAILED, EXIT_OK, EXIT_USAGE, run
+from fuchslab.selftest import CriterionResult
 
 
 def _run_json(capsys, argv):
@@ -129,6 +134,18 @@ def test_selftest_small_sweep(capsys):
     assert all(c["passed"] for c in report["criteria"])
 
 
+def test_selftest_exits_one_when_a_criterion_fails(capsys, monkeypatch):
+    def failing_run_all(max_order):
+        return [CriterionResult("example-corpus", False, "forced failure"),
+                CriterionResult("cyclic-sweep", True, "1 checks")]
+
+    monkeypatch.setattr(cli, "run_all", failing_run_all)
+    code = run(["--no-timings", "selftest", "--max-order", "2"])
+    out = capsys.readouterr().out
+    assert code == EXIT_CHECK_FAILED == 1
+    assert "FAIL  example-corpus" in out  # the report is still emitted
+
+
 def _one_line_error(capsys, argv):
     code = run(["--no-timings", *argv])
     captured = capsys.readouterr()
@@ -230,3 +247,56 @@ def test_search_stops_once_a_level_adds_nothing(capsys, monkeypatch):
     code, narrow = _run_json(capsys, ["search", "C2 x C4", "--budget", "256"])
     assert code == EXIT_OK
     assert wide == narrow
+
+
+# --- argv fuzzing ------------------------------------------------------------
+
+_FACTORS = ["C1", "C2", "C3", "C4", "C6", "C8", "C9", "C12", "C16", "Cinf",
+            "C2^2", "C3^2", "C0", "C2^0"]
+_small_specs = st.lists(st.sampled_from(_FACTORS), min_size=1, max_size=3).map(" x ".join)
+_garbage_specs = st.text(alphabet="Cinfx^0123456789 -", max_size=14) | st.text(max_size=6)
+_specs = _small_specs | _garbage_specs
+_recipes = st.builds(
+    "{}({})".format,
+    st.sampled_from(["a24", "a24xC3", "sumc2", "chain", "bogus"]),
+    st.lists(
+        st.builds("{}={}".format, st.sampled_from(["rank", "c4", "k", "j"]),
+                  st.sampled_from(["-1", "0", "1", "2", "3", "5", "9", "true", "false", "x"])),
+        max_size=3,
+    ).map(",".join),
+) | st.text(alphabet="a24xC3chain(rank=,j)", max_size=16)
+_budgets = st.sampled_from(["1", "2", "5", "16", "0", "-3", "x"])
+
+
+@st.composite
+def _argv(draw):
+    command = draw(st.sampled_from(["classify", "construct", "verify", "endos", "search"]))
+    argv = [command, draw(_specs)]
+    if command == "verify":
+        argv += ["--max-endos", "4096"]
+        if draw(st.booleans()):
+            argv += ["--ring", draw(_recipes)]
+    if command == "search":
+        argv += ["--pool", draw(st.sampled_from(["default", "chain", "fieldprod", "nope"]))]
+        argv += ["--budget", draw(_budgets)]
+    if command in ("construct", "verify") and draw(st.booleans()):
+        argv += ["--unit-dim", draw(_budgets)]
+    return argv
+
+
+@settings(max_examples=150, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(_argv())
+@example(["classify", "C" + "9" * 5000])  # int() refused more than 4,300 digits
+@example(["classify", "C1000000000000000003"])  # trial division ran for minutes
+@example(["classify", "C2^100000000"])  # built a list of 10^8 factors
+@example(["search", "C2^100000"])  # printed |G| past the int-to-string limit
+@example(["construct", "C3^1000000"])  # multiplied 10^6 factors into |G|
+def test_any_argv_exits_0_2_or_3(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = run(["--no-timings", *argv])
+    assert code in (EXIT_OK, EXIT_USAGE, EXIT_BUDGET)
+    if code == EXIT_BUDGET:
+        lines = err.getvalue().splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: ")

@@ -33,9 +33,16 @@ from fuchslab import (
     ring_from_recipe,
     star_ideal,
     unit_group_invariants,
+    units,
 )
 from fuchslab import constructions, gf2
-from fuchslab.constructions import _default_pool, _pair_vector, _subset_ideals, _vec
+from fuchslab.constructions import (
+    _default_pool,
+    _fieldprod_kernels,
+    _pair_vector,
+    _subset_ideals,
+    _vec,
+)
 from fuchslab.groups import add_elements, elements, identity_element
 
 
@@ -469,6 +476,29 @@ def test_subset_ideals_match_a_span_per_subset(text):
                 expected.append(basis)
     got = [ideal.rref_basis for ideal in _subset_ideals(amb, pool, budget)]
     assert got == expected
+
+
+@pytest.mark.parametrize("text,realizable", [("C3 x C3", True), ("C2 x C4", True), ("C8", False)])
+def test_unit_to_group_is_the_search_unit_check(text, realizable):
+    # over the proper quotients the search meets, unit_to_group holds exactly
+    # when the units are the image of G, one element each; then the unit
+    # group's invariants are G's, the implication the search relies on
+    g = parse_group(text)
+    amb = group_algebra(g)
+    ideals = list(_subset_ideals(amb, _default_pool(g, amb), 64))
+    ideals += list(_fieldprod_kernels(g, 64))
+    hits = 0
+    for ideal in ideals:
+        if ideal.contains(amb.one_vector):
+            continue
+        q = quotient(g, ideal)
+        image = set(q.group_image)
+        exact = image == units(q.quotient_algebra) and len(image) == g.torsion_order
+        assert (q.unit_to_group is not None) == exact
+        if exact:
+            hits += 1
+            assert q.unit_group_invariants() == g.finite_orders
+    assert (hits > 0) == realizable
 
 
 def test_search_determinism():

@@ -69,18 +69,30 @@ def test_preserves_ideal_counts_25_of_81():
     assert len(kept) == 81 - 56 == 25
 
 
-def test_generator_and_basis_checks_agree():
-    # the scan's precomputed tables against preserves_ideal, endomorphism by
-    # endomorphism, on a witness ring
-    q = quotient(GroupSpec((2, 2)), a24_ideal(2, False))
-    g = q.parent_group
-    by_basis = [
-        preserves_ideal(g, h, q.ideal) for h in enumerate_endos(g)
+def _oracle_rings():
+    return [
+        quotient(C2, ideal_span(group_algebra(C2), [])),
+        quotient(C3, ideal_span(group_algebra(C3), [])),
+        _chain_ring(),
+        quotient(GroupSpec((2, 2)), a24_ideal(2, False)),
+        quotient(GroupSpec((2, 2, 2)), a24_ideal(3, False)),
+        present_over(C3, field_algebra(2), [0b10]),
     ]
-    preserved, first_fail = count_preserving(g, q.ideal, endo_count(g))
-    assert preserved == sum(by_basis)
-    expected_first = next((i for i, ok in enumerate(by_basis) if not ok), None)
-    assert first_fail == expected_first
+
+
+def test_generator_and_basis_checks_agree():
+    # the scan's precomputed tables and ring_endos, which reads the scan's
+    # verdicts, against preserves_ideal, endomorphism by endomorphism
+    rings = _oracle_rings() + [_f2f4f4_ring(), quotient(GroupSpec((2, 4)), a24_ideal(1, True))]
+    for q in rings:
+        g = q.parent_group
+        homs = enumerate_endos(g)
+        by_basis = [preserves_ideal(g, h, q.ideal) for h in homs]
+        preserved, first_fail = count_preserving(g, q.ideal, endo_count(g))
+        assert preserved == sum(by_basis)
+        expected_first = next((i for i, ok in enumerate(by_basis) if not ok), None)
+        assert first_fail == expected_first
+        assert ring_endos(q) == [h for h, ok in zip(homs, by_basis) if ok]
 
 
 def test_ring_endos_counts():
@@ -169,15 +181,7 @@ def test_oracle_counts():
 
 
 def test_oracle_equivalence_on_dim_le_4():
-    rings = [
-        quotient(C2, ideal_span(group_algebra(C2), [])),
-        quotient(C3, ideal_span(group_algebra(C3), [])),
-        _chain_ring(),
-        quotient(GroupSpec((2, 2)), a24_ideal(2, False)),
-        quotient(GroupSpec((2, 2, 2)), a24_ideal(3, False)),
-        present_over(C3, field_algebra(2), [0b10]),
-    ]
-    for q in rings:
+    for q in _oracle_rings():
         assert q.dim <= 4
         assert len(ring_endos(q)) == ring_endos_oracle(q.quotient_algebra)
 
@@ -204,9 +208,9 @@ def test_scan_matches_preserves_ideal_on_random_ideals():
 
 
 def test_witness_index_reconstruction():
-    from fuchslab.endo import _hom_from_index
+    from fuchslab.endo import _homs_from_indices
 
     g = GroupSpec((2, 4))
     homs = enumerate_endos(g)
-    for idx in (0, 1, 7, 31):
-        assert _hom_from_index(g, idx) == homs[idx]
+    indices = (0, 1, 7, 31)
+    assert _homs_from_indices(g, indices) == [homs[idx] for idx in indices]
