@@ -35,7 +35,6 @@ from .constructions import (
     classify,
     construct_witness,
     kgproduct_ambient,
-    kgproduct_embeddings,
     kgproduct_ideal,
     ring_from_recipe,
     star_ideal,

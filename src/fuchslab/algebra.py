@@ -61,7 +61,7 @@ class Algebra:
     basis_labels: tuple[str, ...]
     mult_table: tuple[tuple[int, ...], ...]
     one_vector: int
-    group_basis: bool = False  # basis is a group: monomial table, invertible entries
+    group: GroupSpec | None = None  # the group whose elements() index the basis
 
     def __post_init__(self) -> None:
         if self.dim < 1:
@@ -75,6 +75,8 @@ class Algebra:
             raise ValueError("table entry outside the algebra")
         if not 0 < self.one_vector <= mask:
             raise ValueError("one_vector must be a nonzero vector in the algebra")
+        if self.group is not None and (not self.group.is_finite or self.group.torsion_order != self.dim):
+            raise ValueError("a group basis needs one basis vector per group element")
         if self.dim <= _VALIDATE_DIM_LIMIT:
             self._validate_axioms()
 
@@ -149,7 +151,8 @@ def group_algebra(g: GroupSpec) -> Algebra:
     """The group algebra of a finite abelian group over GF(2).
 
     Basis indexed by elements(g) in lexicographic order, so the identity is
-    basis 0 and the table realizes the group product.
+    basis 0 and the table realizes the group product. The algebra carries g:
+    ideals of it belong to this presentation and no other.
     """
     if not g.is_finite:
         raise InfiniteGroupError(f"group algebra of {g} is not materialized")
@@ -165,7 +168,7 @@ def group_algebra(g: GroupSpec) -> Algebra:
         )
         for ea in els
     )
-    return Algebra(len(els), labels, table, 1, group_basis=True)
+    return Algebra(len(els), labels, table, 1, group=g)
 
 
 def _poly_mod(a: int, b: int) -> int:
@@ -423,7 +426,7 @@ class QuotientRing:
     def __init__(self, parent_group: GroupSpec, ideal: Ideal,
                  *, unit_budget_dim: int = DEFAULT_UNIT_BUDGET_DIM) -> None:
         amb = ideal.ambient
-        if not parent_group.is_finite or amb.dim != parent_group.torsion_order or not amb.group_basis:
+        if amb.group != parent_group:
             raise ValueError("ideal does not live in the group algebra of the parent group")
         if ideal.contains(amb.one_vector):
             raise ZeroRingError("1 lies in the ideal; the quotient is the zero ring")
@@ -446,7 +449,7 @@ class QuotientRing:
         # satisfies the ring axioms, so they are not checked again
         self.quotient_algebra = _trusted(
             Algebra, dim=qdim, basis_labels=labels, mult_table=table,
-            one_vector=self.project(amb.one_vector), group_basis=False,
+            one_vector=self.project(amb.one_vector), group=None,
         )
         self.group_image = tuple(self.project(1 << i) for i in range(amb.dim))
 

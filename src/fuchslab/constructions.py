@@ -48,7 +48,6 @@ from .groups import (
     identity_element,
     order_within,
     prime_power_split,
-    scale_element,
 )
 
 
@@ -211,67 +210,18 @@ def star_ideal(rank: int, with_c4: bool, *, max_tuple_len: int = 4,
 
 
 def kgproduct_ambient(parts: list[GroupSpec] | tuple[GroupSpec, ...]) -> GroupSpec:
-    """Canonical spec of the direct product of the parts."""
+    """The direct product of the parts, presented by their factors in turn,
+    so each part keeps its own coordinates.
+
+    >>> kgproduct_ambient((GroupSpec((2,)), GroupSpec((3,)))).finite_orders
+    (2, 3)
+    """
     orders: list[int] = []
     for part in parts:
         if not part.is_finite:
             raise InfiniteGroupError("kgproduct parts must be finite")
         orders.extend(part.finite_orders)
-    return canonicalize(GroupSpec(tuple(orders)))
-
-
-def kgproduct_embeddings(parts: tuple[GroupSpec, ...]) -> tuple[GroupSpec, list[dict[GroupElement, GroupElement]]]:
-    """Canonical ambient of the product plus, per part, the map sending each
-    part element to its image in ambient coordinates.
-
-    The isomorphism from the canonical form to the concatenated form is
-    assembled from primary cyclic pieces (the same regrouping canonicalize
-    performs) and then inverted element by element.
-    """
-    concat_orders: list[int] = []
-    offsets: list[int] = []
-    for part in parts:
-        offsets.append(len(concat_orders))
-        concat_orders.extend(part.finite_orders)
-    concat = GroupSpec(tuple(concat_orders))
-    ambient = canonicalize(concat)
-
-    pieces: dict[int, list[tuple[int, int]]] = {}
-    for pos, order in enumerate(concat_orders):
-        for p, e in prime_power_split(order).items():
-            pieces.setdefault(p, []).append((e, pos))
-    for plist in pieces.values():
-        plist.sort(key=lambda item: (-item[0], item[1]))
-    depth = max((len(v) for v in pieces.values()), default=0)
-
-    gen_images: list[GroupElement] = []  # ambient generator k -> concat element
-    for k in range(depth - 1, -1, -1):
-        img = [0] * len(concat_orders)
-        for p, plist in pieces.items():
-            if k < len(plist):
-                e, pos = plist[k]
-                img[pos] = (img[pos] + concat_orders[pos] // p**e) % concat_orders[pos]
-        gen_images.append(tuple(img))
-
-    to_concat: dict[GroupElement, GroupElement] = {}
-    for e in elements(ambient):
-        img = identity_element(concat)
-        for coeff, gen in zip(e, gen_images):
-            img = add_elements(concat, img, scale_element(concat, coeff, gen))
-        to_concat[e] = img
-    if len(set(to_concat.values())) != ambient.torsion_order:
-        raise FuchslabError("canonical reindexing is not a bijection")
-    to_ambient = {v: k for k, v in to_concat.items()}
-
-    part_maps: list[dict[GroupElement, GroupElement]] = []
-    for part, offset in zip(parts, offsets):
-        mapping = {}
-        for a in elements(part):
-            emb = [0] * len(concat_orders)
-            emb[offset:offset + part.rank] = a
-            mapping[a] = to_ambient[tuple(emb)]
-        part_maps.append(mapping)
-    return ambient, part_maps
+    return GroupSpec(tuple(orders))
 
 
 def kgproduct_ideal(parts: list[GroupSpec] | tuple[GroupSpec, ...],
@@ -280,30 +230,28 @@ def kgproduct_ideal(parts: list[GroupSpec] | tuple[GroupSpec, ...],
     the product of the group algebras F2[Gi]: spanned by (1 + a)(1 + b) for
     a, b drawn from distinct parts. It contains prod(g_i) + sum(g_i) + n + 1
     for every choice of g_i, and the quotient's unit group is the product of
-    the factor unit groups."""
-    parts = tuple(parts)
-    total = 1
-    for part in parts:
-        if not part.is_finite:
-            raise InfiniteGroupError("kgproduct parts must be finite")
-        total *= part.torsion_order
-    if total > max_order:
-        raise BudgetExceededError(f"product order {total} exceeds budget {max_order}")
-    ambient, _, gens = _kgproduct_glue(parts)
-    return ideal_span(group_algebra(ambient), gens)
+    the factor unit groups. It lives in F2[kgproduct_ambient(parts)]."""
+    ambient = kgproduct_ambient(parts)
+    if ambient.torsion_order > max_order:
+        raise BudgetExceededError(f"product order {ambient.torsion_order} exceeds budget {max_order}")
+    return ideal_span(group_algebra(ambient), _kgproduct_glue(parts))
 
 
-def _kgproduct_glue(parts: tuple[GroupSpec, ...]) -> tuple[GroupSpec, list[dict[GroupElement, GroupElement]], list[int]]:
-    """kgproduct_embeddings plus the generators (1 + a)(1 + b) of
-    kgproduct_ideal, for a, b drawn from distinct parts."""
-    ambient, part_maps = kgproduct_embeddings(parts)
-    gens = [
-        _pair_vector(ambient, part_maps[i][a], part_maps[j][b])
-        for i, j in itertools.combinations(range(len(parts)), 2)
-        for a in elements(parts[i])
-        for b in elements(parts[j])
+def _kgproduct_glue(parts: list[GroupSpec] | tuple[GroupSpec, ...]) -> list[int]:
+    """The generators (1 + a)(1 + b) of kgproduct_ideal, for a, b drawn from
+    distinct parts: part i in its own coordinates, 0 in all the others."""
+    ambient = kgproduct_ambient(parts)
+    offsets = list(itertools.accumulate((part.rank for part in parts), initial=0))
+    embedded = [
+        [(0,) * offsets[i] + a + (0,) * (ambient.rank - offsets[i + 1]) for a in elements(part)]
+        for i, part in enumerate(parts)
     ]
-    return ambient, part_maps, gens
+    return [
+        _pair_vector(ambient, a, b)
+        for first, second in itertools.combinations(embedded, 2)
+        for a in first
+        for b in second
+    ]
 
 
 @lru_cache(maxsize=8)
@@ -336,9 +284,10 @@ def construct_witness(g: GroupSpec, *, max_order: int = DEFAULT_WITNESS_MAX_ORDE
                       unit_budget_dim: int = DEFAULT_UNIT_BUDGET_DIM) -> QuotientRing:
     """A quotient ring that fully realizes g, for positive finite verdicts.
 
-    F2[g] modulo a24_ideal of its W x C4 part; with a C3 summand, that ideal
-    is moved into F2[g] and spanned together with the generators of
-    kgproduct_ideal, the product glue with the C3 part.
+    F2[g] modulo a24_ideal of its W x C4 part. With a C3 summand the ring is
+    presented over W x C3 instead, as the quotient of F2[W x C3] by the span
+    of that ideal and the generators of kgproduct_ideal, the product glue
+    with the C3 part; its parent_group is that concatenated presentation.
     """
     verdict = classify(g)
     if not verdict.fully_realizable:
@@ -352,16 +301,11 @@ def construct_witness(g: GroupSpec, *, max_order: int = DEFAULT_WITNESS_MAX_ORDE
     rank, with_c4 = twos.count(1), 2 in twos
     ideal = a24_ideal(rank, with_c4, max_rank=rank)
     if c.torsion_order % 3 == 0:
-        w = _a24_spec(rank, with_c4, rank)
-        ambient, (to_ambient, _), glue = _kgproduct_glue((w, GroupSpec((3,))))
-        els = elements(w)
-        # the embedding is injective, so each sum adds distinct basis bits
-        moved = [
-            sum(_vec(ambient, to_ambient[els[b]]) for b in gf2.bits(v))
-            for v in ideal.rref_basis
-        ]
-        ideal = ideal_span(group_algebra(ambient), moved + glue)
-    return quotient(c, ideal, unit_budget_dim=unit_budget_dim)
+        parts = (_a24_spec(rank, with_c4, rank), GroupSpec((3,)))
+        # C3 is the last coordinate, so element b of W is element 3*b of W x C3
+        moved = [sum(1 << 3 * b for b in gf2.bits(v)) for v in ideal.rref_basis]
+        ideal = ideal_span(group_algebra(kgproduct_ambient(parts)), moved + _kgproduct_glue(parts))
+    return quotient(ideal.ambient.group, ideal, unit_budget_dim=unit_budget_dim)
 
 
 _RECIPE_RE = re.compile(r"([A-Za-z0-9]+)\(([^()]*)\)")

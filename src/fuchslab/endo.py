@@ -43,7 +43,7 @@ class RealizabilityReport:
 def preserves_ideal(g: GroupSpec, phi: GroupHom, i: Ideal) -> bool:
     """True iff the linear extension of phi maps every RREF basis vector of
     the ideal back into the ideal."""
-    if not (i.ambient.group_basis and i.ambient.dim == g.torsion_order):
+    if i.ambient.group != g:
         raise ValueError("the ideal must live in the group algebra of g")
     els = elements(g)
     image_bit: dict[int, int] = {}
@@ -64,7 +64,7 @@ def _scan_data(g: GroupSpec, ideal: Ideal) -> tuple:
     """Precomputed tables for the endomorphism filter, which checks the
     ideal's RREF basis, the same criterion as preserves_ideal."""
     amb = ideal.ambient
-    if not (amb.group_basis and amb.dim == g.torsion_order):
+    if amb.group != g:
         raise ValueError("the ideal must live in the group algebra of g")
     cayley = tuple(
         tuple(entry.bit_length() - 1 for entry in row) for row in amb.mult_table

@@ -51,10 +51,6 @@ def reduce_vector(v: int, basis: Sequence[int]) -> int:
     return v
 
 
-def in_span(v: int, basis: Sequence[int]) -> bool:
-    return reduce_vector(v, basis) == 0
-
-
 def express_in_rref(v: int, basis: Sequence[int]) -> int | None:
     """Coefficient mask c with v = XOR of the rows selected by c, or None.
 

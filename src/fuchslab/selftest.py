@@ -261,10 +261,11 @@ def criterion_8_structural_properties() -> CriterionResult:
     rng = random.Random(20260810)
     checks = []
 
+    c2c3 = (GroupSpec((2,)), GroupSpec((3,)))
     samples = [
         (GroupSpec((2, 2)), a24_ideal(2, False)),
         (GroupSpec((2, 4)), a24_ideal(1, True)),
-        (GroupSpec((6,)), kgproduct_ideal((GroupSpec((2,)), GroupSpec((3,))))),
+        (kgproduct_ambient(c2c3), kgproduct_ideal(c2c3)),
     ]
     closed = all(
         ideal.contains(ideal.ambient.mul(1 << b, v))

@@ -365,3 +365,5 @@ def test_algebra_validation_rejects_garbage():
         Algebra(3, ("1", "a", "b"), ((1, 2, 4), (2, 4, 1), (4, 1, 4)), 1)
     with pytest.raises(ValueError):
         Algebra(1, ("1",), ((1,),), 0)  # zero cannot be the identity
+    with pytest.raises(ValueError):
+        Algebra(1, ("1",), ((1,),), 1, group=GroupSpec((2,)))  # C2 needs two basis vectors

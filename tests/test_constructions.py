@@ -21,14 +21,16 @@ from fuchslab import (
     chain_ring_ideals,
     classify,
     construct_witness,
+    count_preserving,
     endo_count,
     fully_realizes,
     group_algebra,
     ideal_span,
+    identity_hom,
     kgproduct_ambient,
-    kgproduct_embeddings,
     kgproduct_ideal,
     parse_group,
+    preserves_ideal,
     quotient,
     ring_from_recipe,
     star_ideal,
@@ -43,7 +45,7 @@ from fuchslab.constructions import (
     _subset_ideals,
     _vec,
 )
-from fuchslab.groups import add_elements, elements, identity_element
+from fuchslab.groups import element_index, elements, identity_element
 
 
 # --- classification oracle -------------------------------------------------
@@ -162,7 +164,7 @@ def test_star_without_c4_is_sumc2_rank_3():
 def test_kgproduct_c2_c3():
     parts = (GroupSpec((2,)), GroupSpec((3,)))
     ambient = kgproduct_ambient(parts)
-    assert ambient == GroupSpec((6,))
+    assert ambient == GroupSpec((2, 3))  # the parts in turn, not the canonical C6
     ideal = kgproduct_ideal(parts)
     assert ideal.dim == 2
     q = quotient(ambient, ideal)
@@ -171,14 +173,14 @@ def test_kgproduct_c2_c3():
 
 
 def test_kgproduct_matches_kernel_of_product_map():
-    # independent route: the kernel of F2[C6] -> F2[C2] x F2[C3]
+    # independent route: the kernel of F2[C2 x C3] -> F2[C2] x F2[C3]
     from fuchslab import present_over, product_algebra, product_element
 
     parts = (GroupSpec((2,)), GroupSpec((3,)))
     comps = [group_algebra(parts[0]), group_algebra(parts[1])]
     target = product_algebra(comps)
-    u = product_element(comps, [0b10, 0b010])
-    q = present_over(GroupSpec((6,)), target, [u])
+    gens = [product_element(comps, [0b10, 0b001]), product_element(comps, [0b01, 0b010])]
+    q = present_over(GroupSpec((2, 3)), target, gens)
     assert q.ideal.rref_basis == kgproduct_ideal(parts).rref_basis
 
 
@@ -212,17 +214,18 @@ def test_kgproduct_unit_formula_on_small_pairs():
 def test_kgproduct_contains_product_minus_sum(parts):
     rng = random.Random(99)
     ideal = kgproduct_ideal(parts)
-    ambient, maps = kgproduct_embeddings(parts)
+    ambient = kgproduct_ambient(parts)
+    assert ambient.finite_orders == tuple(d for part in parts for d in part.finite_orders)
     n = len(parts)
     for _ in range(25):
         picks = [rng.choice(elements(part)) for part in parts]
-        embedded = [maps[i][p] for i, p in enumerate(picks)]
-        prod_elem = identity_element(ambient)
-        acc = 0
-        for e in embedded:
-            prod_elem = add_elements(ambient, prod_elem, e)
-            acc ^= _vec(ambient, e)
-        acc ^= _vec(ambient, prod_elem)
+        # the product of the picks is their concatenation; each pick alone
+        # is padded with the identity of every other part
+        acc = _vec(ambient, tuple(itertools.chain(*picks)))
+        for i, p in enumerate(picks):
+            padded = [identity_element(part) for part in parts]
+            padded[i] = p
+            acc ^= _vec(ambient, tuple(itertools.chain(*padded)))
         if (n + 1) & 1:
             acc ^= _vec(ambient, identity_element(ambient))
         assert ideal.contains(acc)
@@ -235,6 +238,54 @@ def test_kgproduct_single_part_is_zero_ideal():
 def test_kgproduct_budget():
     with pytest.raises(BudgetExceededError):
         kgproduct_ideal((GroupSpec((16,)), GroupSpec((32,))))
+
+
+def test_ideal_from_another_presentation_is_refused():
+    # an ideal belongs to the group its algebra carries, even when another
+    # group has the same order
+    c2c2 = GroupSpec((2, 2))
+    c4_ideal = construct_witness(GroupSpec((4,))).ideal
+    assert c4_ideal.ambient.group == GroupSpec((4,))
+    with pytest.raises(ValueError):
+        quotient(c2c2, c4_ideal)
+    with pytest.raises(ValueError):
+        preserves_ideal(c2c2, identity_hom(c2c2), c4_ideal)
+    with pytest.raises(ValueError):
+        count_preserving(c2c2, c4_ideal, endo_count(c2c2))
+    c6_parts = (GroupSpec((2,)), GroupSpec((3,)))
+    with pytest.raises(ValueError):
+        quotient(GroupSpec((6,)), kgproduct_ideal(c6_parts))
+    assert quotient(kgproduct_ambient(c6_parts), kgproduct_ideal(c6_parts)).dim == 4
+
+
+# the 8 positive groups of order <= 64 with a C3 summand
+C3_WITNESS_GROUPS = ["C3", "C6", "C12", "C2 x C6", "C2 x C12", "C2^2 x C6",
+                     "C2^2 x C12", "C2^3 x C6"]
+
+
+@pytest.mark.parametrize("text", C3_WITNESS_GROUPS)
+def test_c3_witness_is_the_kernel_onto_the_product(text):
+    # independent route: the kernel of F2[W' x C3] -> (F2[W']/a24) x F2[C3]
+    from fuchslab import product_algebra, product_element, unit_embedding_kernel
+
+    g = parse_group(text)
+    rank = sum(1 for d in g.finite_orders if d % 4 == 2)  # the C2 and C6 factors
+    with_c4 = any(d % 4 == 0 for d in g.finite_orders)
+    w = GroupSpec((2,) * rank + ((4,) if with_c4 else ()))
+    w_ring = quotient(w, a24_ideal(rank, with_c4))
+    comps = [w_ring.quotient_algebra, group_algebra(GroupSpec((3,)))]
+    target = product_algebra(comps)
+    # generator j of W' goes to (its coset, 1), the C3 generator to (1, x)
+    images = []
+    for j in range(w.rank):
+        gen = tuple(int(t == j) for t in range(w.rank))
+        images.append(product_element(comps, [w_ring.group_image[element_index(w, gen)], 0b001]))
+    images.append(product_element(comps, [w_ring.quotient_algebra.one_vector, 0b010]))
+    ambient = kgproduct_ambient((w, GroupSpec((3,))))
+    kernel = unit_embedding_kernel(ambient, target, images)
+    witness = construct_witness(g)
+    assert witness.parent_group == ambient
+    assert witness.ideal.rref_basis == kernel.rref_basis
 
 
 # --- chain rings --------------------------------------------------------------
@@ -445,16 +496,15 @@ def test_spans_and_quotients_are_not_revalidated(monkeypatch):
     report = bounded_ideal_search(parse_group("C4 x C4"))
     assert (report.ideals_examined, report.realizing_found, report.fully_realizing_found) == (127, 6, 0)
     assert validated_ideals == []
-    assert [a.dim for a in validated_algebras] == [16]
-    assert all(a.group_basis for a in validated_algebras)
+    assert [a.group for a in validated_algebras] == [parse_group("C4 x C4")]
 
     validated_algebras.clear()
     group_algebra.cache_clear()
     ring = construct_witness(parse_group("C2^2 x C12"))
     assert ring.unit_group_invariants() == (2, 2, 12)
     assert validated_ideals == []
-    assert sorted(a.dim for a in validated_algebras) == [16, 48]  # F2[C2^2 x C4], F2[C2^2 x C12]
-    assert all(a.group_basis for a in validated_algebras)
+    # F2[C2^2 x C4], then F2[C2^2 x C4 x C3]: no canonical C2^2 x C12 is built
+    assert sorted(a.group.finite_orders for a in validated_algebras) == [(2, 2, 4), (2, 2, 4, 3)]
 
 
 @pytest.mark.parametrize("text", ["C3 x C3", "C2 x C8", "C2^4"])

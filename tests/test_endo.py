@@ -190,7 +190,8 @@ def test_scan_matches_preserves_ideal_on_random_ideals():
     # random ideals, unlike witness rings, also give negative verdicts
     rng = random.Random(20261017)
     failures = 0
-    for orders in ((2, 2), (4,), (2, 4), (6,), (3, 3), (2, 2, 2)):
+    # (2, 3), (4, 3) and (2, 2, 3) are the presentations of the C3 witnesses
+    for orders in ((2, 2), (4,), (2, 4), (6,), (3, 3), (2, 2, 2), (2, 3), (4, 3), (2, 2, 3)):
         g = GroupSpec(orders)
         amb = group_algebra(g)
         homs = enumerate_endos(g)

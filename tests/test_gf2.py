@@ -71,7 +71,6 @@ def test_mask_pivot_tests_match_lowest_bit_reference_past_64_bits(rows, probe, m
     for v in (probe, inside, probe ^ inside):
         rest, coeffs = _reference_reduce(v, basis)
         assert gf2.reduce_vector(v, basis) == rest
-        assert gf2.in_span(v, basis) == (rest == 0)
         assert gf2.express_in_rref(v, basis) == (coeffs if rest == 0 else None)
 
 
