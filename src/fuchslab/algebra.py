@@ -502,6 +502,14 @@ def unit_embedding_kernel(g: GroupSpec, target: Algebra, images: list[AlgebraEle
     The images must be units whose multiplicative orders divide the matching
     factor orders. The map is surjective iff |G| - kernel dim = target dim.
     """
+    return Ideal(group_algebra(g), unit_embedding_basis(g, target, images))
+
+
+def unit_embedding_basis(g: GroupSpec, target: Algebra,
+                         images: list[AlgebraElement]) -> tuple[int, ...]:
+    """The RREF basis of unit_embedding_kernel, with the same checks on the
+    images but none on the basis: a caller that drops duplicate kernels
+    validates only the new ones."""
     if not g.is_finite:
         raise InfiniteGroupError("unit embeddings are materialized for finite groups only")
     if len(images) != g.rank:
@@ -523,8 +531,7 @@ def unit_embedding_kernel(g: GroupSpec, target: Algebra, images: list[AlgebraEle
         for j, t in enumerate(e):
             acc = target.mul(acc, pows[j][t])
         elem_images.append(acc)
-    kernel = gf2.kernel_of_images(elem_images, target.dim)
-    return Ideal(group_algebra(g), kernel)
+    return gf2.kernel_of_images(elem_images, target.dim)
 
 
 def present_over(g: GroupSpec, target: Algebra, images: list[AlgebraElement],

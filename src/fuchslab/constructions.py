@@ -26,7 +26,7 @@ from .algebra import (
     ideal_sum,
     product_algebra,
     quotient,
-    unit_embedding_kernel,
+    unit_embedding_basis,
     units,
 )
 from .endo import fully_realizes
@@ -439,11 +439,12 @@ def _fieldprod_kernels(spec: GroupSpec, budget: int):
                     sorted(u for u in all_units if target.power(u, d) == target.one_vector)
                 )
             for images in itertools.product(*unit_sets):
-                ideal = unit_embedding_kernel(spec, target, list(images))
-                if ideal.rref_basis in seen:
+                basis = unit_embedding_basis(spec, target, list(images))
+                if basis in seen:
                     continue
-                seen.add(ideal.rref_basis)
-                yield ideal
+                seen.add(basis)
+                # validated by the public constructor, once per distinct kernel
+                yield Ideal(group_algebra(spec), basis)
                 produced += 1
                 if produced >= budget:
                     return

@@ -2,8 +2,10 @@
 
 A ring endomorphism of R = F2[G]/I with unit group G is determined by its
 restriction to G, and a group endomorphism of G lifts to the ring exactly
-when its linear extension maps I into I. The engine therefore enumerates
-End(G), filters by ideal preservation, and renders the verdict.
+when its linear extension maps I into I. The lifting endomorphisms form a
+submonoid of End(G), so a positive verdict needs only a monoid generating
+set of End(G); otherwise the engine walks End(G), filters by ideal
+preservation, and renders the verdict with a count and a first failure.
 """
 
 from __future__ import annotations
@@ -15,13 +17,17 @@ from . import gf2
 from .algebra import Algebra, Ideal, QuotientRing
 from .errors import BudgetExceededError, UnitGroupMismatchError
 from .groups import (
+    GroupElement,
     GroupHom,
     GroupSpec,
+    add_elements,
     canonicalize,
     element_index,
     elements,
     endo_count,
+    identity_element,
     image_candidates,
+    scale_element,
 )
 
 DEFAULT_MAX_ENDOS = 10**6
@@ -117,10 +123,103 @@ def _scan_endos(data: tuple, total: int) -> bytearray:
     return kept
 
 
-def count_preserving(g: GroupSpec, ideal: Ideal, total: int) -> tuple[int, int | None]:
-    """Count the endomorphisms of g whose extension preserves the ideal, and
-    the enumeration index of the first one that does not (None if all do)."""
-    kept = _scan_endos(_scan_data(g, ideal), total)
+def _monoid_generators(g: GroupSpec) -> list[GroupHom] | None:
+    """A set S of endomorphisms that generates End(g) as a monoid, for g
+    presented as (2,)*a + (4,)? + (3,)?, as every witness is; None for any
+    other presentation.
+
+    Name the generators v_0..v_{a-1}, z (order 4) and w (order 3); each map
+    fixes the generators it does not name. S holds E: v_{a-1} -> 0 when
+    a >= 1; T: v_1 -> v_1 + v_0 and the cycle P: v_i -> v_{i+1 mod a} when
+    a >= 2; with C4, K3: z -> 3z, K2: z -> 2z and, when a >= 1,
+    S0: z -> z + v_0, R0: v_0 -> v_0 + 2z and Omega: v_0 -> 2z, z -> v_0;
+    with C3, w -> 2w and w -> 0.
+
+    Proof that S generates End(g), for every a. The 2-part and the 3-part
+    are fully invariant, so End(g) = End(W x C4) x End(C3), and each map of
+    S acts on one factor and fixes the other; it suffices that each part of
+    S generates its factor. End(C3) = {0, 1, 2} is reached from 2 and 0 (1
+    is the empty product), and End(C4) = Z/4 from 3 and 2, as 0 = 2*2.
+    Write X_A for A in M_a(F2) acting on W = F2^a and fixing z, and t_ij
+    for the transvection v_j -> v_j + v_i. A finite monoid that holds an
+    invertible map holds its inverse, so it holds the conjugates
+    P^i T P^-i = t_{i,i+1} (indices mod a). For a >= 3 the commutator of
+    t_ij and t_jk is t_ik, so these give every t_ij, and the t_ij generate
+    GL_a(F2) = SL_a(F2) by row reduction. Every singular matrix over a
+    field is a product of idempotents (J. A. Erdos, "On products of
+    idempotent matrices", 1967); an idempotent of rank r is conjugate to
+    diag(1^r, 0^(a-r)), a product of permutation conjugates of
+    E = diag(1, ..., 1, 0). So GL_a(F2) and E give M_a(F2) = End(W).
+
+    For W x C4 with a >= 1, every phi has phi(v) = Av + f(v)2z for v in W,
+    with A in M_a(F2) and f a linear form, and phi(z) = u + kz with u in W
+    and k in Z/4. Conjugating S0 and R0 by X_B for invertible B gives
+    S_u: z -> z + u and R_f: v -> v + f(v)2z for every nonzero u and f, and
+    both add under composition; K_k is z -> kz.
+    - k odd: phi = S_u X_A K_k R_f.
+    - k even and A e_0 = 0: then phi(v_0) = c2z with c = f(v_0). The map
+      L: v_0 -> u + kz, v_i -> phi(v_i) for i >= 1, z -> z has odd k, and
+      phi = L Omega when c = 1, phi = L Omega X_D with D = diag(0, 1, ..., 1)
+      when c = 0.
+    - k even and A singular: for an invertible B whose B e_0 lies in the
+      kernel of A, phi X_B is the case above, and phi = (phi X_B) X_B^-1.
+    - k even and A invertible: with u' = A^-1 u and k' = k + 2f(u'),
+      phi = X_A R_f Y, where Y fixes W and sends z to u' + k'z; Y is K_k'
+      when u' = 0, and X_B K_k' S0 X_B^-1 with B e_0 = u' otherwise.
+    The tests certify S by a closure over all element maps wherever
+    |End(g)| is small enough to list.
+    """
+    orders = g.finite_orders
+    a, c4, c3 = orders.count(2), 4 in orders, 3 in orders
+    if not g.is_finite or orders != (2,) * a + (4,) * c4 + (3,) * c3:
+        return None
+    basis = [tuple(int(t == j) for t in range(g.rank)) for j in range(g.rank)]
+    zero = identity_element(g)
+
+    def hom(*moves: tuple[int, GroupElement]) -> GroupHom:
+        images = list(basis)
+        for j, image in moves:
+            images[j] = image
+        return GroupHom(g, g, tuple(images))
+
+    v = basis[:a]
+    gens = []
+    if a >= 1:
+        gens.append(hom((a - 1, zero)))
+    if a >= 2:
+        gens.append(hom((1, add_elements(g, v[1], v[0]))))
+        gens.append(hom(*((i, v[(i + 1) % a]) for i in range(a))))
+    if c4:
+        z = basis[a]
+        two_z = scale_element(g, 2, z)
+        gens += [hom((a, scale_element(g, 3, z))), hom((a, two_z))]
+        if a >= 1:
+            gens += [
+                hom((a, add_elements(g, z, v[0]))),
+                hom((0, add_elements(g, v[0], two_z))),
+                hom((0, two_z), (a, v[0])),
+            ]
+    if c3:
+        w = g.rank - 1
+        gens += [hom((w, scale_element(g, 2, basis[w]))), hom((w, zero))]
+    return gens
+
+
+def count_preserving(g: GroupSpec, ideal: Ideal, total: int,
+                     *, max_endos: int = DEFAULT_MAX_ENDOS) -> tuple[int, int | None]:
+    """Count the endomorphisms of g, among the first `total` in enumeration
+    order, whose extension preserves the ideal, and the index of the first
+    one that does not (None if all do).
+
+    When every monoid generator of End(g) preserves the ideal, every
+    endomorphism does, since F2[phi o psi] = F2[phi] o F2[psi], and nothing
+    is walked.
+    Otherwise the walk counts them, refused when total exceeds max_endos.
+    """
+    gens = _monoid_generators(g)
+    if gens is not None and all(preserves_ideal(g, s, ideal) for s in gens):
+        return total, None
+    kept = _scan_endos(_scan_data(g, ideal), _within_budget(total, max_endos))
     first_fail = kept.find(0)
     return kept.count(1), None if first_fail < 0 else first_fail
 
@@ -139,9 +238,8 @@ def _homs_from_indices(g: GroupSpec, indices) -> list[GroupHom]:
     return homs
 
 
-def _endo_total(g: GroupSpec, max_endos: int) -> int:
-    """|End(g)|, refused when it exceeds the enumeration budget."""
-    total = endo_count(g)
+def _within_budget(total: int, max_endos: int) -> int:
+    """The number of endomorphisms to walk, refused over the walk budget."""
     if total > max_endos:
         raise BudgetExceededError(f"|End(G)| = {total} exceeds the budget {max_endos}")
     return total
@@ -157,7 +255,7 @@ def ring_endos(q: QuotientRing, *, max_endos: int = DEFAULT_MAX_ENDOS) -> list[G
     g = q.parent_group
     if q.unit_to_group is None:
         raise UnitGroupMismatchError("the unit group is not the image of the presenting group")
-    kept = _scan_endos(_scan_data(g, q.ideal), _endo_total(g, max_endos))
+    kept = _scan_endos(_scan_data(g, q.ideal), _within_budget(endo_count(g), max_endos))
     return _homs_from_indices(g, (t for t, ok in enumerate(kept) if ok))
 
 
@@ -168,12 +266,14 @@ def fully_realizes(q: QuotientRing, expected: GroupSpec,
     unit_group_ok requires the unit set to be exactly the image of G, and G
     to be the expected group. The witness, when one exists, is the first
     endomorphism in enumeration order that does not preserve the ideal.
+    max_endos bounds only the walk, which a positive decided by monoid
+    generators skips.
     """
     g = q.parent_group
-    total = _endo_total(g, max_endos)
+    total = endo_count(g)
+    realized, first_fail = count_preserving(g, q.ideal, total, max_endos=max_endos)
     expected_c = canonicalize(expected)
     unit_ok = q.unit_to_group is not None and canonicalize(g) == expected_c
-    realized, first_fail = count_preserving(g, q.ideal, total)
     fully = unit_ok and realized == total
     witness = None
     if unit_ok and not fully and first_fail is not None:

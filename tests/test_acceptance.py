@@ -47,3 +47,11 @@ def test_criterion_8_structural_properties():
 
 def test_supplementary_agreement_sweep():
     _check(selftest.agreement_sweep(max_order=16))
+
+
+def test_agreement_sweep_to_order_64():
+    # all 20 fully realizable groups of order <= 64 pass the engine, with
+    # none skipped: monoid generators decide the positives past the walk budget
+    result = selftest.agreement_sweep(max_order=64)
+    _check(result)
+    assert result.detail == "23 checks"

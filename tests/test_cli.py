@@ -87,9 +87,20 @@ def test_usage_errors(capsys):
 
 
 def test_budget_exit_code(capsys):
-    assert run(["verify", "C2^5"]) == EXIT_BUDGET
+    # C8 has no monoid generators here, so the walk and its budget remain
+    assert run(["verify", "C8", "--ring", "chain(k=3,j=4)", "--max-endos", "4"]) == EXIT_BUDGET
+    assert "exceeds the budget 4" in capsys.readouterr().err
     assert run(["endos", "Cinf"]) == EXIT_BUDGET
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("spec, endos", [("C2^5", 2**25), ("C2^4 x C4", 2**26)])
+def test_verify_past_the_walk_budget(capsys, spec, endos):
+    # monoid generators decide the positive, so --max-endos is never reached
+    code, report = _run_json(capsys, ["verify", spec])
+    assert code == EXIT_OK
+    assert report["fully_realizes"] is True
+    assert report["counts"] == {"group_endos": endos, "realized": endos}
 
 
 def test_json_is_deterministic_and_schema_stable(capsys):

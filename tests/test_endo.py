@@ -12,6 +12,7 @@ from fuchslab import (
     UnitGroupMismatchError,
     a24_ideal,
     count_preserving,
+    elements,
     endo_count,
     enumerate_endos,
     field_algebra,
@@ -27,6 +28,9 @@ from fuchslab import (
     ring_endos,
     ring_endos_oracle,
 )
+from fuchslab.endo import _monoid_generators, _scan_data, _scan_endos
+from fuchslab.gf2 import bits
+from fuchslab.groups import element_index
 
 C2 = GroupSpec((2,))
 C3 = GroupSpec((3,))
@@ -166,10 +170,16 @@ def test_realized_sets_closed_under_composition():
 
 
 def test_endo_budget():
+    # the budget bounds the walk, which only an ideal that some monoid
+    # generator fails to preserve still needs: the cycle v_i -> v_{i+1}
+    # sends 1 + v_4 to 1 + v_0, outside the ideal (1 + v_4)
     big = GroupSpec((2,) * 5)
-    q = quotient(big, a24_ideal(5, False))
+    amb = group_algebra(big)
+    q = quotient(big, ideal_span(amb, [amb.one_vector ^ 0b10]))
     with pytest.raises(BudgetExceededError):
         fully_realizes(q, big, max_endos=10**6)
+    rep = fully_realizes(quotient(big, a24_ideal(5, False)), big, max_endos=10**6)
+    assert rep.fully_realizes and rep.realized_endos == rep.total_endos == 2**25
 
 
 def test_oracle_counts():
@@ -215,3 +225,97 @@ def test_witness_index_reconstruction():
     homs = enumerate_endos(g)
     indices = (0, 1, 7, 31)
     assert _homs_from_indices(g, indices) == [homs[idx] for idx in indices]
+
+
+# every presentation (2,)*a + (4,)? + (3,)? with a <= 4 and |End| <= 131,072
+_GENERATED = [
+    (2,), (2, 2), (2, 2, 2), (2, 2, 2, 2), (4,), (2, 4), (2, 2, 4), (2, 2, 2, 4),
+    (3,), (2, 3), (2, 2, 3), (2, 2, 2, 3), (4, 3), (2, 4, 3), (2, 2, 4, 3),
+]
+
+
+def _element_map(g, h):
+    els = elements(g)
+    return tuple(element_index(g, h.apply(e)) for e in els)
+
+
+def _closure_size(g, gens):
+    """The number of element maps reached from the identity by composing
+    with gens, breadth first: the size of the monoid they generate."""
+    maps = [_element_map(g, h) for h in gens]
+    start = tuple(range(g.torsion_order))
+    seen, frontier = {start}, [start]
+    while frontier:
+        reached = []
+        for m in frontier:
+            for s in maps:
+                composed = tuple([s[x] for x in m])
+                if composed not in seen:
+                    seen.add(composed)
+                    reached.append(composed)
+        frontier = reached
+    return len(seen)
+
+
+@pytest.mark.parametrize("orders", _GENERATED)
+def test_monoid_generators_generate_end(orders):
+    g = GroupSpec(orders)
+    assert _closure_size(g, _monoid_generators(g)) == endo_count(g)
+
+
+def test_dropping_omega_no_longer_generates():
+    # without Omega (v_0 -> 2z, z -> v_0), the maps v_0 -> 2z, z -> v_0 + kz
+    # with k even are out of reach: 30 of the 32 maps of C2 x C4
+    g = GroupSpec((2, 4))
+    omega = GroupHom(g, g, ((0, 2), (1, 0)))
+    gens = _monoid_generators(g)
+    assert omega in gens
+    assert _closure_size(g, [h for h in gens if h != omega]) == 30 < endo_count(g)
+
+
+def test_monoid_generators_only_for_witness_presentations():
+    for orders in ((8,), (3, 3), (4, 4), (4, 2), (2, 12), (9,), (3, 2)):
+        assert _monoid_generators(GroupSpec(orders)) is None
+    assert _monoid_generators(GroupSpec(())) == []
+
+
+def _image(element_map, v):
+    acc = 0
+    for b in bits(v):
+        acc ^= 1 << element_map[b]
+    return acc
+
+
+def _stable_under(g, gens, ideal):
+    """The smallest ideal containing `ideal` that every map of gens preserves."""
+    maps = [_element_map(g, h) for h in gens]
+    while True:
+        images = [_image(m, v) for m in maps for v in ideal.rref_basis]
+        bigger = ideal_span(ideal.ambient, list(ideal.rref_basis) + images)
+        if bigger.rref_basis == ideal.rref_basis:
+            return ideal
+        ideal = bigger
+
+
+def test_generator_verdict_matches_the_walk_on_random_ideals():
+    # the ideal of a random (1 + x)(1 + y), and the smallest ideal over it
+    # that the generators preserve; the walk over all of End(g) must give the
+    # same verdict. (2, 2, 2, 4) is left to the closure test above: each of
+    # its walks takes seconds.
+    rng = random.Random(20261018)
+    verdicts = []
+    for orders in _GENERATED:
+        if orders == (2, 2, 2, 4):
+            continue
+        g = GroupSpec(orders)
+        gens = _monoid_generators(g)
+        amb = group_algebra(g)
+        for _ in range(1 if endo_count(g) > 4096 else 2):
+            x, y = rng.randrange(1, amb.dim), rng.randrange(1, amb.dim)
+            drawn = ideal_span(amb, [amb.mul(1 | 1 << x, 1 | 1 << y)])
+            for ideal in (drawn, _stable_under(g, gens, drawn)):
+                by_gens = all(preserves_ideal(g, h, ideal) for h in gens)
+                by_walk = all(_scan_endos(_scan_data(g, ideal), endo_count(g)))
+                assert by_gens == by_walk, (orders, ideal.rref_basis)
+                verdicts.append(by_gens)
+    assert True in verdicts and False in verdicts
