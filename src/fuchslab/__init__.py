@@ -19,9 +19,6 @@ from .algebra import (
     product_algebra,
     product_element,
     quotient,
-    subring_generated,
-    subring_span,
-    unit_embedding_kernel,
     unit_group_invariants,
     units,
 )
@@ -34,8 +31,6 @@ from .constructions import (
     chain_ring_ideals,
     classify,
     construct_witness,
-    kgproduct_ambient,
-    kgproduct_ideal,
     ring_from_recipe,
     star_ideal,
 )

@@ -3,7 +3,8 @@
 An Algebra is a basis, a multiplication table of GF(2) vectors, and the
 vector representing 1. Elements are bit-packed ints (see gf2). Group
 algebras, finite fields and products are built here, together with ideals
-in canonical RREF form, quotients, unit detection and unit-group structure.
+in canonical RREF form, quotients, rings generated by unit images
+(present_over), unit detection and unit-group structure.
 """
 
 from __future__ import annotations
@@ -231,6 +232,8 @@ def product_element(factors: list[Algebra] | tuple[Algebra, ...], components: li
     acc = 0
     offset = 0
     for f, c in zip(factors, components):
+        if not 0 <= c < 1 << f.dim:
+            raise ValueError(f"component {c:#b} lies outside its factor of dim {f.dim}")
         acc |= c << offset
         offset += f.dim
     return acc
@@ -244,9 +247,11 @@ class Ideal:
     rref_basis: tuple[int, ...]
 
     def __post_init__(self) -> None:
+        amb = self.ambient
+        if any(v < 0 or v >> amb.dim for v in self.rref_basis):
+            raise ValueError("basis vector lies outside the ambient algebra")
         if gf2.rref(self.rref_basis) != self.rref_basis:
             raise ValueError("basis is not in canonical reduced row-echelon form")
-        amb = self.ambient
         for b in range(amb.dim):
             basis_vec = 1 << b
             for v in self.rref_basis:
@@ -496,25 +501,23 @@ def quotient(g: GroupSpec, i: Ideal, *, unit_budget_dim: int = DEFAULT_UNIT_BUDG
     return QuotientRing(g, i, unit_budget_dim=unit_budget_dim)
 
 
-def unit_embedding_kernel(g: GroupSpec, target: Algebra, images: list[AlgebraElement]) -> Ideal:
-    """Kernel of the ring map F2[g] -> target sending generator j to images[j].
-
-    The images must be units whose multiplicative orders divide the matching
-    factor orders. The map is surjective iff |G| - kernel dim = target dim.
-    """
-    return Ideal(group_algebra(g), unit_embedding_basis(g, target, images))
-
-
 def unit_embedding_basis(g: GroupSpec, target: Algebra,
                          images: list[AlgebraElement]) -> tuple[int, ...]:
-    """The RREF basis of unit_embedding_kernel, with the same checks on the
-    images but none on the basis: a caller that drops duplicate kernels
-    validates only the new ones."""
+    """RREF basis of the kernel of the ring map F2[g] -> target sending
+    generator j to images[j].
+
+    The images must be units of the target whose multiplicative orders
+    divide the matching factor orders. The basis is not validated as an
+    ideal: the kernel of a ring map is one, and a caller that drops
+    duplicate kernels validates only the new ones.
+    """
     if not g.is_finite:
         raise InfiniteGroupError("unit embeddings are materialized for finite groups only")
     if len(images) != g.rank:
         raise OrderMismatchError("one unit image per group generator required")
     for d, u in zip(g.finite_orders, images):
+        if u < 0 or u >> target.dim:
+            raise OrderMismatchError(f"image {u:#b} lies outside the dim-{target.dim} target")
         if not is_unit(target, u):
             raise OrderMismatchError(f"image {target.element_label(u)} is not a unit")
         if target.power(u, d) != target.one_vector:
@@ -536,40 +539,15 @@ def unit_embedding_basis(g: GroupSpec, target: Algebra,
 
 def present_over(g: GroupSpec, target: Algebra, images: list[AlgebraElement],
                  *, unit_budget_dim: int = DEFAULT_UNIT_BUDGET_DIM) -> QuotientRing:
-    """Present the subring of `target` generated by unit images of g as a
-    quotient of F2[g]. This is the standard route for running realizability
-    reports against rings that are not given as group-algebra quotients."""
-    return quotient(g, unit_embedding_kernel(g, target, images), unit_budget_dim=unit_budget_dim)
+    """The subring of `target` generated by unit images of g's generators,
+    presented as F2[g] modulo the kernel of F2[g] -> target.
 
-
-def subring_span(a: Algebra, subset: list[AlgebraElement] | tuple[AlgebraElement, ...]) -> tuple[int, ...]:
-    """RREF basis of the smallest subalgebra containing 1 and the subset."""
-    span = gf2.rref([a.one_vector, *subset])
-    while True:
-        products = [a.mul(v, w) for v in span for w in span]
-        closed = gf2.rref(list(span) + products)
-        if closed == span:
-            break
-        span = closed
-    return span
-
-
-def subring_generated(a: Algebra, subset: list[AlgebraElement] | tuple[AlgebraElement, ...]) -> Algebra:
-    """The subalgebra generated by 1 and `subset`, with induced multiplication.
-
-    Basis vectors are the RREF rows of subring_span; coordinates of a product
-    in that basis are read off its pivot bits.
+    This is the package's one builder for rings generated by unit images:
+    products of rings (images (u, 1) and (1, v)), the C3 witness and the
+    subring generated by given units all come through it. The images are
+    checked by unit_embedding_basis; the kernel of a ring map is an ideal,
+    so it is wrapped without revalidation.
     """
-    span = subring_span(a, subset)
-    table = []
-    for v in span:
-        row = []
-        for w in span:
-            coords = gf2.express_in_rref(a.mul(v, w), span)
-            assert coords is not None  # span is multiplication-closed
-            row.append(coords)
-        table.append(tuple(row))
-    one = gf2.express_in_rref(a.one_vector, span)
-    assert one is not None
-    labels = tuple(f"s{i}" for i in range(len(span)))
-    return Algebra(len(span), labels, tuple(table), one)
+    basis = unit_embedding_basis(g, target, images)
+    kernel = _trusted(Ideal, ambient=group_algebra(g), rref_basis=basis)
+    return quotient(g, kernel, unit_budget_dim=unit_budget_dim)

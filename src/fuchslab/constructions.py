@@ -14,7 +14,6 @@ from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
 
-from . import gf2
 from .algebra import (
     DEFAULT_UNIT_BUDGET_DIM,
     Algebra,
@@ -24,7 +23,9 @@ from .algebra import (
     group_algebra,
     ideal_span,
     ideal_sum,
+    present_over,
     product_algebra,
+    product_element,
     quotient,
     unit_embedding_basis,
     units,
@@ -209,51 +210,6 @@ def star_ideal(rank: int, with_c4: bool, *, max_tuple_len: int = 4,
     return ideal_span(group_algebra(spec), gens)
 
 
-def kgproduct_ambient(parts: list[GroupSpec] | tuple[GroupSpec, ...]) -> GroupSpec:
-    """The direct product of the parts, presented by their factors in turn,
-    so each part keeps its own coordinates.
-
-    >>> kgproduct_ambient((GroupSpec((2,)), GroupSpec((3,)))).finite_orders
-    (2, 3)
-    """
-    orders: list[int] = []
-    for part in parts:
-        if not part.is_finite:
-            raise InfiniteGroupError("kgproduct parts must be finite")
-        orders.extend(part.finite_orders)
-    return GroupSpec(tuple(orders))
-
-
-def kgproduct_ideal(parts: list[GroupSpec] | tuple[GroupSpec, ...],
-                    *, max_order: int = 256) -> Ideal:
-    """The ideal presenting the subring generated by G1 x ... x Gn inside
-    the product of the group algebras F2[Gi]: spanned by (1 + a)(1 + b) for
-    a, b drawn from distinct parts. It contains prod(g_i) + sum(g_i) + n + 1
-    for every choice of g_i, and the quotient's unit group is the product of
-    the factor unit groups. It lives in F2[kgproduct_ambient(parts)]."""
-    ambient = kgproduct_ambient(parts)
-    if ambient.torsion_order > max_order:
-        raise BudgetExceededError(f"product order {ambient.torsion_order} exceeds budget {max_order}")
-    return ideal_span(group_algebra(ambient), _kgproduct_glue(parts))
-
-
-def _kgproduct_glue(parts: list[GroupSpec] | tuple[GroupSpec, ...]) -> list[int]:
-    """The generators (1 + a)(1 + b) of kgproduct_ideal, for a, b drawn from
-    distinct parts: part i in its own coordinates, 0 in all the others."""
-    ambient = kgproduct_ambient(parts)
-    offsets = list(itertools.accumulate((part.rank for part in parts), initial=0))
-    embedded = [
-        [(0,) * offsets[i] + a + (0,) * (ambient.rank - offsets[i + 1]) for a in elements(part)]
-        for i, part in enumerate(parts)
-    ]
-    return [
-        _pair_vector(ambient, a, b)
-        for first, second in itertools.combinations(embedded, 2)
-        for a in first
-        for b in second
-    ]
-
-
 @lru_cache(maxsize=8)
 def chain_ring_ideals(k: int) -> tuple[Ideal, ...]:
     """All 2^k + 1 ideals of F2[C_{2^k}], namely ((x+1)^j) for j = 0..2^k.
@@ -284,10 +240,11 @@ def construct_witness(g: GroupSpec, *, max_order: int = DEFAULT_WITNESS_MAX_ORDE
                       unit_budget_dim: int = DEFAULT_UNIT_BUDGET_DIM) -> QuotientRing:
     """A quotient ring that fully realizes g, for positive finite verdicts.
 
-    F2[g] modulo a24_ideal of its W x C4 part. With a C3 summand the ring is
-    presented over W x C3 instead, as the quotient of F2[W x C3] by the span
-    of that ideal and the generators of kgproduct_ideal, the product glue
-    with the C3 part; its parent_group is that concatenated presentation.
+    F2[W'] modulo a24_ideal, where W' is the W x C4 part of g. With a C3
+    summand the ring is the subring of (F2[W']/a24) x F4 generated by the
+    images (coset, 1) of W' and (1, t) of the C3 generator, presented over
+    W' x C3 by present_over; its parent_group is that concatenated
+    presentation.
     """
     verdict = classify(g)
     if not verdict.fully_realizable:
@@ -300,12 +257,16 @@ def construct_witness(g: GroupSpec, *, max_order: int = DEFAULT_WITNESS_MAX_ORDE
     twos = [prime_power_split(d).get(2, 0) for d in c.finite_orders]
     rank, with_c4 = twos.count(1), 2 in twos
     ideal = a24_ideal(rank, with_c4, max_rank=rank)
-    if c.torsion_order % 3 == 0:
-        parts = (_a24_spec(rank, with_c4, rank), GroupSpec((3,)))
-        # C3 is the last coordinate, so element b of W is element 3*b of W x C3
-        moved = [sum(1 << 3 * b for b in gf2.bits(v)) for v in ideal.rref_basis]
-        ideal = ideal_span(group_algebra(kgproduct_ambient(parts)), moved + _kgproduct_glue(parts))
-    return quotient(ideal.ambient.group, ideal, unit_budget_dim=unit_budget_dim)
+    w = ideal.ambient.group
+    if c.torsion_order % 3:
+        return quotient(w, ideal, unit_budget_dim=unit_budget_dim)
+    w_ring = quotient(w, ideal)
+    comps = [w_ring.quotient_algebra, field_algebra(2)]
+    gens = [tuple(int(t == j) for t in range(w.rank)) for j in range(w.rank)]
+    images = [product_element(comps, [w_ring.group_image[element_index(w, e)], 1]) for e in gens]
+    images.append(product_element(comps, [w_ring.quotient_algebra.one_vector, 0b10]))
+    return present_over(GroupSpec(w.finite_orders + (3,)), product_algebra(comps), images,
+                        unit_budget_dim=unit_budget_dim)
 
 
 _RECIPE_RE = re.compile(r"([A-Za-z0-9]+)\(([^()]*)\)")

@@ -51,20 +51,6 @@ def reduce_vector(v: int, basis: Sequence[int]) -> int:
     return v
 
 
-def express_in_rref(v: int, basis: Sequence[int]) -> int | None:
-    """Coefficient mask c with v = XOR of the rows selected by c, or None.
-
-    Valid only against an RREF basis, where the coefficient of each row is
-    just the bit of v at that row's pivot.
-    """
-    coeffs = 0
-    for i, row in enumerate(basis):
-        if v & row & -row:
-            coeffs |= 1 << i
-            v ^= row
-    return coeffs if v == 0 else None
-
-
 def kernel_of_images(images: Sequence[int], width: int) -> tuple[int, ...]:
     """Kernel of the linear map sending domain basis vector i to images[i].
 

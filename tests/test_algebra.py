@@ -9,6 +9,7 @@ from fuchslab import (
     BudgetExceededError,
     GroupSpec,
     Ideal,
+    OrderMismatchError,
     ZeroRingError,
     augmentation,
     construct_witness,
@@ -19,13 +20,11 @@ from fuchslab import (
     ideal_sum,
     is_unit,
     multiplicative_order,
+    parse_group,
     present_over,
     product_algebra,
     product_element,
     quotient,
-    subring_generated,
-    subring_span,
-    unit_embedding_kernel,
     unit_group_invariants,
     units,
 )
@@ -104,6 +103,17 @@ def test_product_algebra():
         product_algebra([])
 
 
+def test_product_element_rejects_a_component_wider_than_its_factor():
+    f2, f4 = field_algebra(1), field_algebra(2)
+    assert product_element([f2, f4], [1, 0b10]) == 0b101
+    with pytest.raises(ValueError):
+        product_element([f2, f4], [0b11, 0b01])  # 0b11 is not an element of F2
+    with pytest.raises(ValueError):
+        product_element([f2, f4], [1, -1])
+    with pytest.raises(ValueError):
+        product_element([f2, f4], [1])
+
+
 def test_ideal_span_chain_cube():
     a = group_algebra(C4)
     cube = a.power(0b0011, 3)
@@ -148,6 +158,21 @@ def test_trusted_builds_pass_the_public_checks():
     amb = group_algebra(c44)
     for ideal in _subset_ideals(amb, _default_pool(c44, amb), 256):
         Ideal(amb, ideal.rref_basis)
+    # present_over wraps a ring map's kernel without validating it: every
+    # witness it presents, and every fieldprod target over C3 x C3 and C6
+    for text in ("C3", "C6", "C12", "C2 x C6", "C2 x C12", "C2^2 x C6", "C2^2 x C12",
+                 "C2^3 x C6"):
+        q = construct_witness(parse_group(text))
+        Ideal(q.ideal.ambient, q.ideal.rref_basis)
+    fields = [field_algebra(1), field_algebra(2), field_algebra(2)]
+    target = product_algebra(fields)
+    unit_list = sorted(units(target))
+    for g in (GroupSpec((3, 3)), GroupSpec((6,))):
+        for _ in range(16):
+            images = [rng.choice([u for u in unit_list if target.power(u, d) == target.one_vector])
+                      for d in g.finite_orders]
+            kernel = present_over(g, target, images).ideal
+            Ideal(kernel.ambient, kernel.rref_basis)
 
 
 def test_ideal_sum_of_principal_ideals_is_the_span():
@@ -303,31 +328,34 @@ def test_unit_embedding_kernel_examples():
     target = product_algebra(fields)
     u = product_element(fields, [1, 0b10, 0b01])
     v = product_element(fields, [1, 0b01, 0b10])
-    kernel = unit_embedding_kernel(GroupSpec((3, 3)), target, [u, v])
+    kernel = present_over(GroupSpec((3, 3)), target, [u, v]).ideal
     assert kernel.dim == 4  # rank 5 image inside the dim-5 product
 
-    assert unit_embedding_kernel(C3, group_algebra(C3), [0b010]).dim == 0
+    assert present_over(C3, group_algebra(C3), [0b010]).ideal.dim == 0
 
     chain = quotient(C4, ideal_span(group_algebra(C4), [0b1111]))
     comps = [chain.quotient_algebra, group_algebra(C3)]
     tgt = product_algebra(comps)
     w = product_element(comps, [chain.group_image[1], 0b010])  # (y, c): order 12
-    kernel12 = unit_embedding_kernel(GroupSpec((12,)), tgt, [w])
+    q12 = present_over(GroupSpec((12,)), tgt, [w])
     # the image is the augmentation fiber of the dim-6 product, so rank 5
-    assert kernel12.dim == 7
-    q12 = quotient(GroupSpec((12,)), kernel12)
+    assert q12.ideal.dim == 7
     assert q12.dim == 5
     assert q12.unit_group_invariants() == (12,)
 
 
 def test_unit_embedding_rejects_bad_orders():
-    from fuchslab import OrderMismatchError
-
     f4 = field_algebra(2)
     with pytest.raises(OrderMismatchError):
-        unit_embedding_kernel(C2, f4, [0b10])  # t has order 3, not dividing 2
+        present_over(C2, f4, [0b10])  # t has order 3, not dividing 2
     with pytest.raises(OrderMismatchError):
-        unit_embedding_kernel(C2, group_algebra(C2), [0b11])  # 1 + x is not a unit
+        present_over(C2, group_algebra(C2), [0b11])  # 1 + x is not a unit
+    with pytest.raises(OrderMismatchError, match="0b1010"):
+        present_over(C3, field_algebra(2), [0b1010])  # wider than the dim-2 target
+    with pytest.raises(OrderMismatchError, match="outside"):
+        present_over(C3, field_algebra(2), [-1])
+    with pytest.raises(OrderMismatchError):
+        present_over(C3, f4, [])  # one image per generator
 
 
 def test_present_over_recovers_group_algebra():
@@ -337,24 +365,22 @@ def test_present_over_recovers_group_algebra():
 
 
 def test_subring_generated():
+    # present_over builds the subring generated by unit images: in
+    # F2 x F2 x F4 the units are (1, 1, F4*), and they generate the
+    # subring of elements with equal F2 coordinates, of dim 3
     f2 = field_algebra(1)
-    prod = product_algebra([f2, f2, field_algebra(2)])
-    everything = subring_generated(prod, list(units(prod)))
-    # any element of the subring generated by units has equal F2 coordinates
-    span = subring_span(prod, list(units(prod)))
-    for mask in range(1 << len(span)):
-        v = 0
-        for i in gf2.bits(mask):
-            v ^= span[i]
-        assert (v & 1) == (v >> 1) & 1
-    assert everything.dim == len(span) == 3
+    fields = [f2, f2, field_algebra(2)]
+    prod = product_algebra(fields)
+    assert units(prod) == {product_element(fields, [1, 1, c]) for c in (1, 0b10, 0b11)}
+    q = present_over(C3, prod, [product_element(fields, [1, 1, 0b10])])
+    assert q.dim == 3
+    assert q.unit_group_invariants() == (3,)
 
-    only_one = subring_generated(prod, [])
-    assert only_one.dim == 1  # span of 1 alone
+    # the subring generated by 1 alone is F2
+    assert present_over(GroupSpec(()), prod, []).dim == 1
 
     # subring closure includes products: adjoining t generates all of F4
-    f4 = field_algebra(2)
-    assert subring_generated(f4, [0b10]).dim == 2
+    assert present_over(C3, field_algebra(2), [0b10]).dim == 2
 
 
 def test_algebra_validation_rejects_garbage():
@@ -367,3 +393,7 @@ def test_algebra_validation_rejects_garbage():
         Algebra(1, ("1",), ((1,),), 0)  # zero cannot be the identity
     with pytest.raises(ValueError):
         Algebra(1, ("1",), ((1,),), 1, group=GroupSpec((2,)))  # C2 needs two basis vectors
+    with pytest.raises(ValueError, match="outside"):
+        Ideal(group_algebra(C2), (0b100,))  # bit 2 is no element of F2[C2]
+    with pytest.raises(ValueError, match="outside"):
+        Ideal(group_algebra(C2), (-1,))

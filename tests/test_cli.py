@@ -4,6 +4,7 @@ import contextlib
 import io
 import json
 import sys
+from math import gcd, prod
 
 import pytest
 from hypothesis import HealthCheck, example, given, settings
@@ -311,3 +312,47 @@ def test_any_argv_exits_0_2_or_3(argv):
     if code == EXIT_BUDGET:
         lines = err.getvalue().splitlines()
         assert len(lines) == 1 and lines[0].startswith("error: ")
+
+
+# --- a report never mixes two groups ------------------------------------------
+
+def _invariant_name(orders):
+    """Invariant-factor name of C_d1 x ... x C_dn, computed here from the
+    primary decomposition: C2 x C6 x C4 is C2 x C2 x C4 x C3, so C2^2 x C12."""
+    per_prime = {}
+    for d in orders:
+        p = 2
+        while d > 1:
+            e = 0
+            while d % p == 0:
+                d, e = d // p, e + 1
+            if e:
+                per_prime.setdefault(p, []).append(e)
+            p += 1
+    for exps in per_prime.values():
+        exps.sort(reverse=True)
+    depth = max((len(es) for es in per_prime.values()), default=0)
+    factors = sorted(prod(p ** es[k] for p, es in per_prime.items() if k < len(es))
+                     for k in range(depth))
+    parts = [f"C{d}" if factors.count(d) == 1 else f"C{d}^{factors.count(d)}"
+             for d in sorted(set(factors))]
+    return " x ".join(parts) or "C1"
+
+
+@settings(max_examples=40, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(st.sampled_from(["verify", "construct", "endos"]),
+       st.lists(st.sampled_from([1, 2, 3, 4, 5, 6, 8, 9, 12]), min_size=1, max_size=4)
+       .filter(lambda orders: prod(orders) <= 32))
+def test_report_group_is_the_canonical_form_of_the_spec(command, orders):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = run(["--json", "--no-timings", command, " x ".join(f"C{d}" for d in orders)])
+    assert code == EXIT_OK
+    report = json.loads(out.getvalue())
+    assert report["group"] == _invariant_name(orders)
+    # |End| of any cyclic decomposition is the product of gcd(d_i, d_j)
+    if command == "endos" or (command == "verify" and report["fully_realizable"]):
+        assert report["counts"]["group_endos"] == prod(gcd(a, b) for a in orders for b in orders)
+    else:
+        assert report["counts"] is None

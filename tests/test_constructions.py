@@ -27,10 +27,11 @@ from fuchslab import (
     group_algebra,
     ideal_span,
     identity_hom,
-    kgproduct_ambient,
-    kgproduct_ideal,
     parse_group,
+    present_over,
     preserves_ideal,
+    product_algebra,
+    product_element,
     quotient,
     ring_from_recipe,
     star_ideal,
@@ -160,35 +161,62 @@ def test_star_without_c4_is_sumc2_rank_3():
 
 
 # --- the product construction ------------------------------------------------
+# The kG product: the subring generated by G1 x ... x Gn inside the product of
+# the group algebras F2[Gi], presented by present_over over the concatenated
+# presentation, with generator j of part i sent to its x in component i.
+
+def _kgproduct(parts):
+    comps = [group_algebra(part) for part in parts]
+    images = []
+    for i, part in enumerate(parts):
+        for j in range(part.rank):
+            gen = tuple(int(t == j) for t in range(part.rank))
+            images.append(product_element(
+                comps, [1 << element_index(part, gen) if k == i else 1 for k in range(len(parts))]
+            ))
+    ambient = GroupSpec(tuple(d for part in parts for d in part.finite_orders))
+    return present_over(ambient, product_algebra(comps), images)
+
+
+def _kgproduct_glue(parts):
+    """The product glue, an independent route to the kG product's ideal:
+    (1 + a)(1 + b) for a, b from distinct parts, each padded with the
+    identity of the others."""
+    ambient = GroupSpec(tuple(d for part in parts for d in part.finite_orders))
+    offsets = list(itertools.accumulate((part.rank for part in parts), initial=0))
+    embedded = [
+        [(0,) * offsets[i] + a + (0,) * (ambient.rank - offsets[i + 1]) for a in elements(part)]
+        for i, part in enumerate(parts)
+    ]
+    return ambient, [
+        _pair_vector(ambient, a, b)
+        for first, second in itertools.combinations(embedded, 2)
+        for a in first
+        for b in second
+    ]
+
 
 def test_kgproduct_c2_c3():
-    parts = (GroupSpec((2,)), GroupSpec((3,)))
-    ambient = kgproduct_ambient(parts)
-    assert ambient == GroupSpec((2, 3))  # the parts in turn, not the canonical C6
-    ideal = kgproduct_ideal(parts)
-    assert ideal.dim == 2
-    q = quotient(ambient, ideal)
+    q = _kgproduct((GroupSpec((2,)), GroupSpec((3,))))
+    assert q.parent_group == GroupSpec((2, 3))  # the parts in turn, not the canonical C6
+    assert q.ideal.dim == 2
     assert q.dim == 4
     assert q.unit_group_invariants() == (6,)
 
 
 def test_kgproduct_matches_kernel_of_product_map():
-    # independent route: the kernel of F2[C2 x C3] -> F2[C2] x F2[C3]
-    from fuchslab import present_over, product_algebra, product_element
-
-    parts = (GroupSpec((2,)), GroupSpec((3,)))
-    comps = [group_algebra(parts[0]), group_algebra(parts[1])]
-    target = product_algebra(comps)
-    gens = [product_element(comps, [0b10, 0b001]), product_element(comps, [0b01, 0b010])]
-    q = present_over(GroupSpec((2, 3)), target, gens)
-    assert q.ideal.rref_basis == kgproduct_ideal(parts).rref_basis
+    # independent route: the span of the glue (1 + a)(1 + b) is the kernel
+    # of F2[G1 x G2] -> F2[G1] x F2[G2]
+    for parts in [(GroupSpec((2,)), GroupSpec((3,))), (GroupSpec((4,)), GroupSpec((3,))),
+                  (GroupSpec((2, 2)), GroupSpec((3,))), (GroupSpec((2,)), GroupSpec((2,)))]:
+        ambient, glue = _kgproduct_glue(parts)
+        span = ideal_span(group_algebra(ambient), glue)
+        assert _kgproduct(parts).ideal.rref_basis == span.rref_basis
 
 
 def test_kgproduct_c4_c3():
-    parts = (GroupSpec((4,)), GroupSpec((3,)))
-    ideal = kgproduct_ideal(parts)
-    assert ideal.dim == 6
-    q = quotient(kgproduct_ambient(parts), ideal)
+    q = _kgproduct((GroupSpec((4,)), GroupSpec((3,))))
+    assert q.ideal.dim == 6
     assert q.dim == 6
     assert q.unit_group_invariants() == (2, 12)  # units(F2[C4]) x units(F2[C3])
 
@@ -196,13 +224,11 @@ def test_kgproduct_c4_c3():
 def test_kgproduct_unit_formula_on_small_pairs():
     small = [GroupSpec((2,)), GroupSpec((3,)), GroupSpec((4,))]
     for g1, g2 in itertools.product(small, repeat=2):
-        ambient = kgproduct_ambient((g1, g2))
-        q = quotient(ambient, kgproduct_ideal((g1, g2)))
         expected = canonicalize(GroupSpec(
             unit_group_invariants(group_algebra(g1))
             + unit_group_invariants(group_algebra(g2))
         )).finite_orders
-        assert q.unit_group_invariants() == expected
+        assert _kgproduct((g1, g2)).unit_group_invariants() == expected
 
 
 @pytest.mark.parametrize("parts", [
@@ -213,8 +239,8 @@ def test_kgproduct_unit_formula_on_small_pairs():
 ])
 def test_kgproduct_contains_product_minus_sum(parts):
     rng = random.Random(99)
-    ideal = kgproduct_ideal(parts)
-    ambient = kgproduct_ambient(parts)
+    q = _kgproduct(parts)
+    ideal, ambient = q.ideal, q.parent_group
     assert ambient.finite_orders == tuple(d for part in parts for d in part.finite_orders)
     n = len(parts)
     for _ in range(25):
@@ -232,12 +258,7 @@ def test_kgproduct_contains_product_minus_sum(parts):
 
 
 def test_kgproduct_single_part_is_zero_ideal():
-    assert kgproduct_ideal((GroupSpec((4,)),)).dim == 0
-
-
-def test_kgproduct_budget():
-    with pytest.raises(BudgetExceededError):
-        kgproduct_ideal((GroupSpec((16,)), GroupSpec((32,))))
+    assert _kgproduct((GroupSpec((4,)),)).ideal.dim == 0
 
 
 def test_ideal_from_another_presentation_is_refused():
@@ -252,10 +273,10 @@ def test_ideal_from_another_presentation_is_refused():
         preserves_ideal(c2c2, identity_hom(c2c2), c4_ideal)
     with pytest.raises(ValueError):
         count_preserving(c2c2, c4_ideal, endo_count(c2c2))
-    c6_parts = (GroupSpec((2,)), GroupSpec((3,)))
+    c2c3 = _kgproduct((GroupSpec((2,)), GroupSpec((3,))))
     with pytest.raises(ValueError):
-        quotient(GroupSpec((6,)), kgproduct_ideal(c6_parts))
-    assert quotient(kgproduct_ambient(c6_parts), kgproduct_ideal(c6_parts)).dim == 4
+        quotient(GroupSpec((6,)), c2c3.ideal)
+    assert quotient(GroupSpec((2, 3)), c2c3.ideal).dim == 4
 
 
 # the 8 positive groups of order <= 64 with a C3 summand
@@ -265,27 +286,20 @@ C3_WITNESS_GROUPS = ["C3", "C6", "C12", "C2 x C6", "C2 x C12", "C2^2 x C6",
 
 @pytest.mark.parametrize("text", C3_WITNESS_GROUPS)
 def test_c3_witness_is_the_kernel_onto_the_product(text):
-    # independent route: the kernel of F2[W' x C3] -> (F2[W']/a24) x F2[C3]
-    from fuchslab import product_algebra, product_element, unit_embedding_kernel
-
+    # independent route, the paper's gluing: a24 of W' on the W' coordinates
+    # of F2[W' x C3], plus (1 + a)(1 + b) for a in W' and b in C3
     g = parse_group(text)
     rank = sum(1 for d in g.finite_orders if d % 4 == 2)  # the C2 and C6 factors
     with_c4 = any(d % 4 == 0 for d in g.finite_orders)
     w = GroupSpec((2,) * rank + ((4,) if with_c4 else ()))
-    w_ring = quotient(w, a24_ideal(rank, with_c4))
-    comps = [w_ring.quotient_algebra, group_algebra(GroupSpec((3,)))]
-    target = product_algebra(comps)
-    # generator j of W' goes to (its coset, 1), the C3 generator to (1, x)
-    images = []
-    for j in range(w.rank):
-        gen = tuple(int(t == j) for t in range(w.rank))
-        images.append(product_element(comps, [w_ring.group_image[element_index(w, gen)], 0b001]))
-    images.append(product_element(comps, [w_ring.quotient_algebra.one_vector, 0b010]))
-    ambient = kgproduct_ambient((w, GroupSpec((3,))))
-    kernel = unit_embedding_kernel(ambient, target, images)
+    ambient, glue = _kgproduct_glue((w, GroupSpec((3,))))
+    # C3 is the last coordinate, so element i of W' is element 3i of W' x C3
+    shifted = [sum(1 << 3 * i for i in gf2.bits(v)) for v in a24_ideal(rank, with_c4).rref_basis]
+    glued = ideal_span(group_algebra(ambient), shifted + glue)
     witness = construct_witness(g)
     assert witness.parent_group == ambient
-    assert witness.ideal.rref_basis == kernel.rref_basis
+    assert witness.ideal.rref_basis == glued.rref_basis
+    assert witness.unit_to_group is not None
 
 
 # --- chain rings --------------------------------------------------------------
@@ -504,7 +518,10 @@ def test_spans_and_quotients_are_not_revalidated(monkeypatch):
     assert ring.unit_group_invariants() == (2, 2, 12)
     assert validated_ideals == []
     # F2[C2^2 x C4], then F2[C2^2 x C4 x C3]: no canonical C2^2 x C12 is built
-    assert sorted(a.group.finite_orders for a in validated_algebras) == [(2, 2, 4), (2, 2, 4, 3)]
+    groups = [a.group.finite_orders for a in validated_algebras if a.group is not None]
+    assert sorted(groups) == [(2, 2, 4), (2, 2, 4, 3)]
+    # and the target of present_over: F4 and (F2[C2^2 x C4]/a24) x F4
+    assert sorted(a.dim for a in validated_algebras if a.group is None) == [2, 7]
 
 
 @pytest.mark.parametrize("text", ["C3 x C3", "C2 x C8", "C2^4"])
