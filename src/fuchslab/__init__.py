@@ -19,6 +19,7 @@ from .algebra import (
     product_algebra,
     product_element,
     quotient,
+    unit_count,
     unit_group_invariants,
     units,
 )

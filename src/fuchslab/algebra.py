@@ -4,15 +4,16 @@ An Algebra is a basis, a multiplication table of GF(2) vectors, and the
 vector representing 1. Elements are bit-packed ints (see gf2). Group
 algebras, finite fields and products are built here, together with ideals
 in canonical RREF form, quotients, rings generated by unit images
-(present_over), unit detection and unit-group structure.
+(present_over), unit detection, unit counting and unit-group structure.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, reduce
 from math import prod
+from operator import xor
 
 from . import gf2
 from .errors import (
@@ -124,7 +125,7 @@ class Algebra:
     def power(self, u: AlgebraElement, n: int) -> AlgebraElement:
         """u**n for n >= 0, by squaring."""
         result = self.one_vector
-        base = u
+        base = _element_of(self, u)
         while n:
             if n & 1:
                 result = self.mul(result, base)
@@ -222,7 +223,9 @@ def product_algebra(factors: list[Algebra] | tuple[Algebra, ...]) -> Algebra:
         for i in range(f.dim):
             for j in range(f.dim):
                 table[o + i][o + j] = f.mult_table[i][j] << o
-    return Algebra(dim, tuple(labels), tuple(tuple(row) for row in table), one)
+    # a product of valid algebras is valid, so the axioms are not checked again
+    return _trusted(Algebra, dim=dim, basis_labels=tuple(labels),
+                    mult_table=tuple(tuple(row) for row in table), one_vector=one, group=None)
 
 
 def product_element(factors: list[Algebra] | tuple[Algebra, ...], components: list[int]) -> AlgebraElement:
@@ -295,21 +298,17 @@ def ideal_sum(ideals: list[Ideal] | tuple[Ideal, ...]) -> Ideal:
     return _trusted(Ideal, ambient=ideals[0].ambient, rref_basis=span)
 
 
+def _element_of(a: Algebra, e: AlgebraElement) -> AlgebraElement:
+    """e, refused unless it is an element of `a`; Algebra.mul does not check."""
+    if e < 0 or e >> a.dim:
+        raise ValueError(f"{e:#b} is not an element of the dim-{a.dim} algebra")
+    return e
+
+
 def is_unit(a: Algebra, e: AlgebraElement) -> bool:
     """True iff the multiplication-by-e matrix is invertible over GF(2)."""
-    pivots: dict[int, int] = {}
-    for j in range(a.dim):
-        col = a.mul(e, 1 << j)
-        while col:
-            p = gf2.lowest_bit(col)
-            row = pivots.get(p)
-            if row is None:
-                pivots[p] = col
-                break
-            col ^= row
-        if col == 0:
-            return False
-    return True
+    _element_of(a, e)
+    return len(gf2.rref(a.mul(e, 1 << j) for j in range(a.dim))) == a.dim
 
 
 def find_inverse(a: Algebra, e: AlgebraElement) -> AlgebraElement | None:
@@ -321,7 +320,7 @@ def find_inverse(a: Algebra, e: AlgebraElement) -> AlgebraElement | None:
     """
     seen: set[int] = set()
     prev = a.one_vector
-    cur = e
+    cur = _element_of(a, e)
     while cur not in seen:
         if cur == a.one_vector:
             return prev
@@ -334,7 +333,7 @@ def find_inverse(a: Algebra, e: AlgebraElement) -> AlgebraElement | None:
 def multiplicative_order(a: Algebra, u: AlgebraElement) -> int:
     """Order of a unit u in the unit group."""
     k = 1
-    cur = u
+    cur = _element_of(a, u)
     limit = 1 << a.dim
     while cur != a.one_vector:
         cur = a.mul(cur, u)
@@ -344,24 +343,43 @@ def multiplicative_order(a: Algebra, u: AlgebraElement) -> int:
     return k
 
 
-def units(a: Algebra, *, budget_dim: int = DEFAULT_UNIT_BUDGET_DIM,
-          cap: int | None = None) -> frozenset[AlgebraElement] | None:
-    """All invertible elements, by exhaustive scan over 2**dim elements.
-
-    With a cap, the scan is abandoned and None returned as soon as more than
-    `cap` units are found.
-    """
+def units(a: Algebra, *, budget_dim: int = DEFAULT_UNIT_BUDGET_DIM) -> frozenset[AlgebraElement]:
+    """All invertible elements, by a scan over 2**dim: unit_count's reference."""
     if a.dim > budget_dim:
         raise BudgetExceededError(
             f"unit enumeration over 2^{a.dim} elements exceeds the dim <= {budget_dim} budget"
         )
-    found: list[int] = []
-    for e in range(1, 1 << a.dim):
-        if is_unit(a, e):
-            found.append(e)
-            if cap is not None and len(found) > cap:
-                return None
-    return frozenset(found)
+    return frozenset(e for e in range(1, 1 << a.dim) if is_unit(a, e))
+
+
+def unit_count(a: Algebra) -> int:
+    """|a^x|, counted by linear algebra with no scan over the elements.
+
+    Squaring F(x) = x^2 is F2-linear in a commutative ring of characteristic
+    2. For nilpotent x the ideals x^i*a shrink strictly until they vanish
+    (x^i*a = x^(i+1)*a gives x^i*(1 + x*b) = 0, and 1 + x*b is a unit), so
+    x^dim = 0 and F^k with 2^k >= dim kills exactly the nilradical N.
+    F + 1 kills exactly the idempotents, a subspace closed under products.
+    Splitting 1 by a basis f of them (each part p into p*f and p + p*f,
+    zeros dropped) leaves the atoms of that Boolean ring, the primitive
+    idempotents e. So a is the product of the rings a*e; each has no
+    idempotents but 0 and e, so it is local, and its non-units form its
+    nilradical N*e. Hence |a^x| = prod_e (2^dim(a*e) - 2^dim(N*e)).
+    """
+    basis = [1 << i for i in range(a.dim)]
+    squares = [a.mul(b, b) for b in basis]  # F(v) is the sum of squares[i] over v's bits
+    frob = basis
+    for _ in range((a.dim - 1).bit_length()):  # F^k for the least k with 2^k >= dim
+        frob = [reduce(xor, (squares[i] for i in gf2.bits(v)), 0) for v in frob]
+    nil = gf2.kernel_of_images(frob, a.dim)
+    parts = [a.one_vector]
+    for f in gf2.kernel_of_images([s ^ b for s, b in zip(squares, basis)], a.dim):
+        parts = [q for p in parts for q in (a.mul(p, f), a.mul(p, f) ^ p) if q]
+
+    def span_dim(e: AlgebraElement, space) -> int:  # dim of e*space
+        return len(gf2.rref(a.mul(e, v) for v in space))
+
+    return prod((1 << span_dim(e, basis)) - (1 << span_dim(e, nil)) for e in parts)
 
 
 def invariants_from_units(a: Algebra, unit_set: frozenset[AlgebraElement]) -> tuple[int, ...]:
@@ -422,14 +440,11 @@ class QuotientRing:
     """F2[G]/I on the non-pivot coordinates of the ideal's RREF basis.
 
     The projection is a ring homomorphism; `group_image[i]` is the coset of
-    the i-th group element. `unit_elements` and `unit_to_group` are computed
-    on first use: the latter is populated only when the projection is
-    injective on G and the image is exactly the unit set, in which case it
-    is a group isomorphism from the units onto G.
+    the i-th group element. `unit_to_group`, computed on first use, maps the
+    units onto G when they are exactly its image, and is None otherwise.
     """
 
-    def __init__(self, parent_group: GroupSpec, ideal: Ideal,
-                 *, unit_budget_dim: int = DEFAULT_UNIT_BUDGET_DIM) -> None:
+    def __init__(self, parent_group: GroupSpec, ideal: Ideal) -> None:
         amb = ideal.ambient
         if amb.group != parent_group:
             raise ValueError("ideal does not live in the group algebra of the parent group")
@@ -437,7 +452,6 @@ class QuotientRing:
             raise ZeroRingError("1 lies in the ideal; the quotient is the zero ring")
         self.parent_group = parent_group
         self.ideal = ideal
-        self._unit_budget_dim = unit_budget_dim
         pivots = {gf2.lowest_bit(row) for row in ideal.rref_basis}
         self._nonpivot = tuple(c for c in range(amb.dim) if c not in pivots)
         self._coord_of = {c: i for i, c in enumerate(self._nonpivot)}
@@ -471,34 +485,25 @@ class QuotientRing:
         return self.quotient_algebra.dim
 
     @property
-    def unit_elements(self) -> frozenset[AlgebraElement]:
-        cached = getattr(self, "_unit_elements", None)
-        if cached is None:
-            cached = units(self.quotient_algebra, budget_dim=self._unit_budget_dim)
-            self._unit_elements = cached
-        return cached
-
-    @property
     def unit_to_group(self) -> dict[AlgebraElement, GroupElement] | None:
-        """The package's one test that the units are exactly the image of G."""
+        """The package's one test that the units are exactly the image of G.
+
+        The projection is a ring map, so it sends G into the units; one-to-one
+        on G, with unit_count equal to |G|, its image is all of them.
+        """
         if not hasattr(self, "_unit_to_group"):
-            els = elements(self.parent_group)
-            # more units than group elements already rules out equality
-            found = units(self.quotient_algebra, budget_dim=self._unit_budget_dim, cap=len(els))
-            if found is not None:
-                self._unit_elements = found
-            image = dict(zip(self.group_image, els))
-            ok = found is not None and len(image) == len(els) and set(image) == found
+            image = dict(zip(self.group_image, elements(self.parent_group)))
+            ok = len(image) == len(self.group_image) == unit_count(self.quotient_algebra)
             self._unit_to_group = image if ok else None
         return self._unit_to_group
 
     def unit_group_invariants(self) -> tuple[int, ...]:
-        return invariants_from_units(self.quotient_algebra, self.unit_elements)
+        return unit_group_invariants(self.quotient_algebra)
 
 
-def quotient(g: GroupSpec, i: Ideal, *, unit_budget_dim: int = DEFAULT_UNIT_BUDGET_DIM) -> QuotientRing:
+def quotient(g: GroupSpec, i: Ideal) -> QuotientRing:
     """The quotient of F2[g] by an ideal; raises ZeroRingError if 1 lies in it."""
-    return QuotientRing(g, i, unit_budget_dim=unit_budget_dim)
+    return QuotientRing(g, i)
 
 
 def unit_embedding_basis(g: GroupSpec, target: Algebra,
@@ -537,8 +542,7 @@ def unit_embedding_basis(g: GroupSpec, target: Algebra,
     return gf2.kernel_of_images(elem_images, target.dim)
 
 
-def present_over(g: GroupSpec, target: Algebra, images: list[AlgebraElement],
-                 *, unit_budget_dim: int = DEFAULT_UNIT_BUDGET_DIM) -> QuotientRing:
+def present_over(g: GroupSpec, target: Algebra, images: list[AlgebraElement]) -> QuotientRing:
     """The subring of `target` generated by unit images of g's generators,
     presented as F2[g] modulo the kernel of F2[g] -> target.
 
@@ -550,4 +554,4 @@ def present_over(g: GroupSpec, target: Algebra, images: list[AlgebraElement],
     """
     basis = unit_embedding_basis(g, target, images)
     kernel = _trusted(Ideal, ambient=group_algebra(g), rref_basis=basis)
-    return quotient(g, kernel, unit_budget_dim=unit_budget_dim)
+    return quotient(g, kernel)

@@ -13,7 +13,6 @@ import json
 import sys
 import time
 
-from .algebra import DEFAULT_UNIT_BUDGET_DIM
 from .constructions import (
     POOLS,
     bounded_ideal_search,
@@ -99,12 +98,6 @@ def _add_common_flags(parser: argparse.ArgumentParser, top_level: bool) -> None:
         help="endomorphism enumeration budget",
         **({"default": DEFAULT_MAX_ENDOS} if top_level else kwargs),
     )
-    parser.add_argument(
-        "--unit-dim",
-        type=_positive_int,
-        help="unit enumeration budget: at most 2^dim elements scanned",
-        **({"default": DEFAULT_UNIT_BUDGET_DIM} if top_level else kwargs),
-    )
 
 
 def _positive_int(text: str) -> int:
@@ -167,7 +160,7 @@ def _cmd_construct(args, report, timer) -> None:
     verdict = _report_verdict(report, classify(g))
     if verdict.fully_realizable and verdict.group.is_finite:
         with timer.measure("construct"):
-            ring = construct_witness(g, unit_budget_dim=args.unit_dim)
+            ring = construct_witness(g)
         report["ring_dim"] = ring.dim
         report["unit_group"] = render_group(GroupSpec(ring.unit_group_invariants()))
 
@@ -189,7 +182,7 @@ def _cmd_verify(args, report, timer) -> None:
         return
     else:
         with timer.measure("construct"):
-            ring = construct_witness(g, unit_budget_dim=args.unit_dim)
+            ring = construct_witness(g)
     with timer.measure("verify"):
         outcome = fully_realizes(ring, g, max_endos=args.max_endos)
     report["fully_realizes"] = outcome.fully_realizes

@@ -15,7 +15,6 @@ from enum import Enum
 from functools import lru_cache
 
 from .algebra import (
-    DEFAULT_UNIT_BUDGET_DIM,
     Algebra,
     Ideal,
     QuotientRing,
@@ -236,8 +235,7 @@ def chain_ring_ideals(k: int) -> tuple[Ideal, ...]:
     return ideals
 
 
-def construct_witness(g: GroupSpec, *, max_order: int = DEFAULT_WITNESS_MAX_ORDER,
-                      unit_budget_dim: int = DEFAULT_UNIT_BUDGET_DIM) -> QuotientRing:
+def construct_witness(g: GroupSpec, *, max_order: int = DEFAULT_WITNESS_MAX_ORDER) -> QuotientRing:
     """A quotient ring that fully realizes g, for positive finite verdicts.
 
     F2[W'] modulo a24_ideal, where W' is the W x C4 part of g. With a C3
@@ -258,15 +256,14 @@ def construct_witness(g: GroupSpec, *, max_order: int = DEFAULT_WITNESS_MAX_ORDE
     rank, with_c4 = twos.count(1), 2 in twos
     ideal = a24_ideal(rank, with_c4, max_rank=rank)
     w = ideal.ambient.group
-    if c.torsion_order % 3:
-        return quotient(w, ideal, unit_budget_dim=unit_budget_dim)
     w_ring = quotient(w, ideal)
+    if c.torsion_order % 3:
+        return w_ring
     comps = [w_ring.quotient_algebra, field_algebra(2)]
     gens = [tuple(int(t == j) for t in range(w.rank)) for j in range(w.rank)]
     images = [product_element(comps, [w_ring.group_image[element_index(w, e)], 1]) for e in gens]
     images.append(product_element(comps, [w_ring.quotient_algebra.one_vector, 0b10]))
-    return present_over(GroupSpec(w.finite_orders + (3,)), product_algebra(comps), images,
-                        unit_budget_dim=unit_budget_dim)
+    return present_over(GroupSpec(w.finite_orders + (3,)), product_algebra(comps), images)
 
 
 _RECIPE_RE = re.compile(r"([A-Za-z0-9]+)\(([^()]*)\)")
@@ -419,8 +416,9 @@ def bounded_ideal_search(g: GroupSpec, pool: str = "default", budget: int = 256)
     count how many realize / fully realize g. Exhaustive only for the chain
     pool on cyclic 2-groups, where the ideal list is provably complete.
 
-    The bound |G| <= 16 keeps every quotient inside the default unit budget
-    and |End(G)| <= 65,536 inside the default endomorphism budget.
+    A quotient realizes g when its units are exactly the image of G, which
+    unit_to_group decides by counting them. The bound |G| <= 16 keeps
+    |End(G)| <= 65,536 inside the default endomorphism budget.
     """
     c = canonicalize(g)
     if not c.is_finite:

@@ -17,14 +17,13 @@ from .algebra import (
     find_inverse,
     group_algebra,
     ideal_span,
-    invariants_from_units,
     is_unit,
     present_over,
     product_algebra,
     product_element,
     quotient,
+    unit_count,
     unit_group_invariants,
-    units,
 )
 from .constructions import (
     a24_ideal,
@@ -129,12 +128,9 @@ def criterion_3_chain_ring_sweep() -> CriterionResult:
         for j, ideal in enumerate(ideals):
             if ideal.contains(group_algebra(spec).one_vector):
                 continue
-            q = quotient(spec, ideal)
-            # a C_{2^k} unit group needs exactly 2^k units, so cap the scan
-            unit_set = units(q.quotient_algebra, cap=2**k)
-            if unit_set is None:
-                continue
-            if invariants_from_units(q.quotient_algebra, unit_set) == (2**k,):
+            qa = quotient(spec, ideal).quotient_algebra
+            # a C_{2^k} unit group has exactly 2^k units, counted before any scan
+            if unit_count(qa) == 2**k and unit_group_invariants(qa) == (2**k,):
                 hits.append(j)
         if k == 2:
             checks.append((hits == [3], "only the j=3 quotient of F2[C4] yields C4"))

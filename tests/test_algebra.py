@@ -1,6 +1,7 @@
 """Algebras, ideals, quotients, and unit groups."""
 
 import random
+from math import prod
 
 import pytest
 
@@ -25,6 +26,7 @@ from fuchslab import (
     product_algebra,
     product_element,
     quotient,
+    unit_count,
     unit_group_invariants,
     units,
 )
@@ -173,6 +175,11 @@ def test_trusted_builds_pass_the_public_checks():
                       for d in g.finite_orders]
             kernel = present_over(g, target, images).ideal
             Ideal(kernel.ambient, kernel.rref_basis)
+    # product_algebra skips the axiom check, which its products must pass
+    for parts in (fields, [group_algebra(C4), field_algebra(3)],
+                  [construct_witness(parse_group("C2 x C4")).quotient_algebra, field_algebra(2)]):
+        prod_alg = product_algebra(parts)
+        Algebra(prod_alg.dim, prod_alg.basis_labels, prod_alg.mult_table, prod_alg.one_vector)
 
 
 def test_ideal_sum_of_principal_ideals_is_the_span():
@@ -217,7 +224,7 @@ def test_quotient_examples():
     amb = group_algebra(c22)
     q22 = quotient(c22, ideal_span(amb, [0b1111]))  # 1 + x1 + x2 + x1x2
     assert q22.dim == 3
-    assert len(q22.unit_elements) == 4
+    assert unit_count(q22.quotient_algebra) == 4
     assert q22.unit_group_invariants() == (2, 2)
 
 
@@ -270,8 +277,55 @@ def test_units_counts():
 def test_units_budget():
     with pytest.raises(BudgetExceededError):
         units(group_algebra(GroupSpec((2, 2, 4))), budget_dim=8)
-    assert units(group_algebra(C4), cap=4) is None
-    assert units(group_algebra(C4), cap=8) == units(group_algebra(C4))
+
+
+def _unit_count_corpus():
+    # group algebras of dim <= 10, random principal quotients of dim <= 10 of
+    # the group algebras of order <= 16, fields, a field product, and the 20
+    # witness quotients of order <= 64
+    rng = random.Random(12)
+    small = ["C1", "C2", "C3", "C4", "C2^2", "C5", "C6", "C7", "C8", "C2 x C4",
+             "C2^3", "C9", "C3^2", "C10"]
+    larger = ["C12", "C2 x C6", "C15", "C16", "C4^2", "C2 x C8", "C2^2 x C4", "C2^4"]
+    algebras = [group_algebra(parse_group(t)) for t in small]
+    for text in small + larger:
+        g = parse_group(text)
+        amb = group_algebra(g)
+        for _ in range(4):
+            ideal = ideal_span(amb, [rng.getrandbits(amb.dim)])
+            if amb.dim - ideal.dim <= 10 and not ideal.contains(amb.one_vector):
+                algebras.append(quotient(g, ideal).quotient_algebra)
+    algebras += [field_algebra(k) for k in range(1, 6)]
+    algebras.append(product_algebra([field_algebra(1), field_algebra(2), field_algebra(3)]))
+    for h in ((), (3,), (4,), (4, 3)):
+        rank = 0
+        while prod(h) << rank <= 64:
+            algebras.append(construct_witness(GroupSpec((2,) * rank + h)).quotient_algebra)
+            rank += 1
+    return algebras
+
+
+def test_unit_count_is_the_number_of_units():
+    corpus = _unit_count_corpus()
+    assert len(corpus) > 80
+    for a in corpus:
+        assert unit_count(a) == len(units(a))
+
+
+def test_unit_count_splits_local_factors_and_drops_the_radical():
+    f2 = field_algebra(1)
+    assert unit_count(product_algebra([f2, f2])) == 1  # idempotent (1, 0)
+    assert unit_count(group_algebra(C2)) == 2  # nilpotent 1 + x
+    assert unit_count(group_algebra(GroupSpec((2, 3)))) == 2 * 12  # F2[C2] x F4[C2]
+
+
+def test_element_functions_refuse_an_element_outside_the_algebra():
+    f4 = field_algebra(2)
+    for bad in (0b1000, 0b100, -1):
+        for call in (lambda: is_unit(f4, bad), lambda: find_inverse(f4, bad),
+                     lambda: f4.power(bad, 3), lambda: multiplicative_order(f4, bad)):
+            with pytest.raises(ValueError, match=f"{bad:#b} is not an element of the dim-2"):
+                call()
 
 
 def test_unit_group_invariants():

@@ -224,13 +224,21 @@ def test_verify_recipe_for_another_group(capsys):
 @pytest.mark.parametrize("flag,argv", [
     ("--max-endos", ["verify", "C2^4", "--max-endos", "-1"]),
     ("--max-endos", ["--max-endos", "0", "verify", "C2^4"]),
-    ("--unit-dim", ["construct", "C2^2", "--unit-dim", "-5"]),
-    ("--unit-dim", ["--unit-dim", "0", "construct", "C2^2"]),
     ("--max-order", ["selftest", "--max-order", "-3"]),
 ])
 def test_budget_flags_below_one(capsys, flag, argv):
     assert run(argv) == EXIT_USAGE
     assert f"argument {flag}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    ["construct", "C2^2", "--unit-dim", "8"],
+    ["--unit-dim=8", "verify", "C4"],
+])
+def test_unit_dim_is_not_an_option(capsys, argv):
+    # units are counted, not enumerated, so no unit budget is set
+    assert run(argv) == EXIT_USAGE
+    assert "--unit-dim" in capsys.readouterr().err
 
 
 def test_chain_recipe_exponent(capsys):
@@ -291,8 +299,6 @@ def _argv(draw):
     if command == "search":
         argv += ["--pool", draw(st.sampled_from(["default", "chain", "fieldprod", "nope"]))]
         argv += ["--budget", draw(_budgets)]
-    if command in ("construct", "verify") and draw(st.booleans()):
-        argv += ["--unit-dim", draw(_budgets)]
     return argv
 
 

@@ -35,10 +35,11 @@ from fuchslab import (
     quotient,
     ring_from_recipe,
     star_ideal,
+    unit_count,
     unit_group_invariants,
     units,
 )
-from fuchslab import constructions, gf2
+from fuchslab import algebra, constructions, gf2
 from fuchslab.constructions import (
     _default_pool,
     _fieldprod_kernels,
@@ -103,7 +104,7 @@ def test_sumc2_small_ranks():
     two = a24_ideal(2, False)
     assert two.dim == 1
     q = quotient(GroupSpec((2, 2)), two)
-    assert q.dim == 3 and len(q.unit_elements) == 4
+    assert q.dim == 3 and unit_count(q.quotient_algebra) == 4
 
 
 def test_sumc2_subset_identity_rank_3():
@@ -310,19 +311,14 @@ def test_chain_ring_ideal_counts():
 
 
 def test_chain_ring_unit_sweep():
-    from fuchslab.algebra import invariants_from_units, units
-
     for k, expected_hits in ((2, [3]), (3, []), (4, [])):
         spec = GroupSpec((2**k,))
         hits = []
         for j, ideal in enumerate(chain_ring_ideals(k)):
             if ideal.contains(1):
                 continue
-            q = quotient(spec, ideal)
-            unit_set = units(q.quotient_algebra, cap=2**k)
-            if unit_set is None:
-                continue
-            if invariants_from_units(q.quotient_algebra, unit_set) == (2**k,):
+            qa = quotient(spec, ideal).quotient_algebra
+            if unit_count(qa) == 2**k and unit_group_invariants(qa) == (2**k,):
                 hits.append(j)
         assert hits == expected_hits
 
@@ -520,8 +516,9 @@ def test_spans_and_quotients_are_not_revalidated(monkeypatch):
     # F2[C2^2 x C4], then F2[C2^2 x C4 x C3]: no canonical C2^2 x C12 is built
     groups = [a.group.finite_orders for a in validated_algebras if a.group is not None]
     assert sorted(groups) == [(2, 2, 4), (2, 2, 4, 3)]
-    # and the target of present_over: F4 and (F2[C2^2 x C4]/a24) x F4
-    assert sorted(a.dim for a in validated_algebras if a.group is None) == [2, 7]
+    # and F4; the target of present_over, (F2[C2^2 x C4]/a24) x F4, is a
+    # product of valid algebras and is not checked again
+    assert sorted(a.dim for a in validated_algebras if a.group is None) == [2]
 
 
 @pytest.mark.parametrize("text", ["C3 x C3", "C2 x C8", "C2^4"])
@@ -566,6 +563,19 @@ def test_unit_to_group_is_the_search_unit_check(text, realizable):
             hits += 1
             assert q.unit_group_invariants() == g.finite_orders
     assert (hits > 0) == realizable
+
+
+def test_unit_to_group_enumerates_no_units(monkeypatch):
+    # the search and the witness check decide the unit group by unit_count
+    def no_scan(*args, **kwargs):
+        raise AssertionError("units() was called")
+
+    monkeypatch.setattr(algebra, "units", no_scan)
+    monkeypatch.setattr(constructions, "units", no_scan)
+    report = bounded_ideal_search(parse_group("C4 x C4"))
+    assert (report.ideals_examined, report.realizing_found, report.fully_realizing_found) == (127, 6, 0)
+    g = parse_group("C2^2 x C12")
+    assert fully_realizes(construct_witness(g), g).fully_realizes
 
 
 def test_search_determinism():
