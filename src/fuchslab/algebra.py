@@ -77,8 +77,12 @@ class Algebra:
             raise ValueError("table entry outside the algebra")
         if not 0 < self.one_vector <= mask:
             raise ValueError("one_vector must be a nonzero vector in the algebra")
-        if self.group is not None and (not self.group.is_finite or self.group.torsion_order != self.dim):
-            raise ValueError("a group basis needs one basis vector per group element")
+        if self.group is not None:
+            if not self.group.is_finite or self.group.torsion_order != self.dim:
+                raise ValueError("a group basis needs one basis vector per group element")
+            # QuotientRing and the End(G) scan read each entry as a group product
+            if self.mult_table != _cayley_table(self.group):
+                raise ValueError(f"table is not the Cayley table of {self.group}")
         if self.dim <= _VALIDATE_DIM_LIMIT:
             self._validate_axioms()
 
@@ -148,6 +152,20 @@ def _monomial_label(names: list[str], exps: GroupElement) -> str:
     return "*".join(parts) if parts else "1"
 
 
+def _cayley_table(g: GroupSpec) -> tuple[tuple[int, ...], ...]:
+    """Entry (i, j) is the basis vector of the product of the i-th and j-th
+    elements of g, in the lexicographic order of elements(g).
+
+    That order puts the last factor fastest, so the index table of g x C_d
+    is the one of g with each index s spread to s*d + (x + y) mod d.
+    """
+    sums = [[0]]
+    for d in g.finite_orders:
+        sums = [[s * d + (x + y) % d for s in row for y in range(d)]
+                for row in sums for x in range(d)]
+    return tuple(tuple(1 << s for s in row) for row in sums)
+
+
 @lru_cache(maxsize=64)
 def group_algebra(g: GroupSpec) -> Algebra:
     """The group algebra of a finite abelian group over GF(2).
@@ -158,19 +176,9 @@ def group_algebra(g: GroupSpec) -> Algebra:
     """
     if not g.is_finite:
         raise InfiniteGroupError(f"group algebra of {g} is not materialized")
-    els = elements(g)
-    index = {e: i for i, e in enumerate(els)}
     names = ["x"] if g.rank == 1 else [f"x{j + 1}" for j in range(g.rank)]
-    labels = tuple(_monomial_label(names, e) for e in els)
-    orders = g.finite_orders
-    table = tuple(
-        tuple(
-            1 << index[tuple((a + b) % d for a, b, d in zip(ea, eb, orders))]
-            for eb in els
-        )
-        for ea in els
-    )
-    return Algebra(len(els), labels, table, 1, group=g)
+    labels = tuple(_monomial_label(names, e) for e in elements(g))
+    return Algebra(len(labels), labels, _cayley_table(g), 1, group=g)
 
 
 def _poly_mod(a: int, b: int) -> int:
@@ -202,7 +210,9 @@ def field_algebra(k: int) -> Algebra:
         powers.append(nxt)
     labels = tuple("1" if i == 0 else ("t" if i == 1 else f"t^{i}") for i in range(k))
     table = tuple(tuple(powers[i + j] for j in range(k)) for i in range(k))
-    return Algebra(k, labels, table, 1)
+    # F2[t]/(poly) with poly irreducible is a field, so the axioms hold
+    return _trusted(Algebra, dim=k, basis_labels=labels, mult_table=table,
+                    one_vector=1, group=None)
 
 
 def product_algebra(factors: list[Algebra] | tuple[Algebra, ...]) -> Algebra:
@@ -377,6 +387,8 @@ def unit_count(a: Algebra) -> int:
         parts = [q for p in parts for q in (a.mul(p, f), a.mul(p, f) ^ p) if q]
 
     def span_dim(e: AlgebraElement, space) -> int:  # dim of e*space
+        if e == a.one_vector:  # a local ring: 1*space is space, a basis
+            return len(space)
         return len(gf2.rref(a.mul(e, v) for v in space))
 
     return prod((1 << span_dim(e, basis)) - (1 << span_dim(e, nil)) for e in parts)
@@ -455,22 +467,21 @@ class QuotientRing:
         pivots = {gf2.lowest_bit(row) for row in ideal.rref_basis}
         self._nonpivot = tuple(c for c in range(amb.dim) if c not in pivots)
         self._coord_of = {c: i for i, c in enumerate(self._nonpivot)}
-        qdim = len(self._nonpivot)
-        labels = tuple(amb.basis_labels[c] for c in self._nonpivot)
+        self.group_image = image = tuple(self.project(1 << i) for i in range(amb.dim))
+        # amb carries its group, so its table is the Cayley table: the product
+        # of two basis vectors is the basis vector at bit_length() - 1, and its
+        # coset is read off the image with no multiplication or reduction
+        rows = [amb.mult_table[c] for c in self._nonpivot]
         table = tuple(
-            tuple(
-                self.project(amb.mul(1 << self._nonpivot[i], 1 << self._nonpivot[j]))
-                for j in range(qdim)
-            )
-            for i in range(qdim)
+            tuple(image[row[c].bit_length() - 1] for c in self._nonpivot) for row in rows
         )
         # a quotient of a commutative unital algebra by a proper ideal
         # satisfies the ring axioms, so they are not checked again
         self.quotient_algebra = _trusted(
-            Algebra, dim=qdim, basis_labels=labels, mult_table=table,
-            one_vector=self.project(amb.one_vector), group=None,
+            Algebra, dim=len(self._nonpivot),
+            basis_labels=tuple(amb.basis_labels[c] for c in self._nonpivot),
+            mult_table=table, one_vector=self.project(amb.one_vector), group=None,
         )
-        self.group_image = tuple(self.project(1 << i) for i in range(amb.dim))
 
     def project(self, v: AlgebraElement) -> AlgebraElement:
         """Coset of an ambient element, in quotient coordinates."""

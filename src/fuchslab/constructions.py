@@ -354,22 +354,46 @@ def _default_pool(spec: GroupSpec, amb: Algebra) -> list[int]:
 
 def _subset_ideals(amb: Algebra, pool: list[int], budget: int):
     # In a commutative ring the ideal a subset generates is the sum of the
-    # principal ideals of its members, so each pool vector is spanned once.
-    # Larger subsets mostly regenerate the same few big ideals, so the sums
-    # computed are capped alongside the distinct-ideal budget.
+    # principal ideals of its members: the ideal of its prefix plus the
+    # principal ideal of its last member. Consecutive subsets share most of
+    # their prefix, and many prefixes span the same few ideals, so each
+    # (prefix ideal, member) sum is formed once. Ideals are interned by RREF
+    # basis, so equal sums are one object. Larger subsets mostly regenerate
+    # the same few big ideals, so the subsets taken are capped alongside the
+    # distinct-ideal budget.
     principal = [ideal_span(amb, [v]) for v in pool]
-    seen: set[tuple[int, ...]] = set()
+    interned: dict[tuple[int, ...], Ideal] = {}
+    sums: dict[tuple[tuple[int, ...], int], Ideal] = {}
+
+    def plus(prefix: Ideal, i: int) -> Ideal:
+        key = (prefix.rref_basis, i)
+        total = sums.get(key)
+        if total is None:
+            total = ideal_sum([prefix, principal[i]])
+            total = sums[key] = interned.get(total.rref_basis, total)
+        return total
+
+    zero = ideal_span(amb, [])
     produced = 0
     work_cap = max(8 * budget, 512)
     for size in range(1, len(pool) + 1):
         if produced >= budget or work_cap <= 0:
             return
         before = produced
+        # chain[m] is the ideal of the first m members of the current subset
+        chain = [zero] + [None] * size
+        last = (-1,) * size
         for combo in itertools.combinations(range(len(pool)), size):
             work_cap -= 1
-            ideal = ideal_sum([principal[i] for i in combo])
-            if ideal.rref_basis not in seen:
-                seen.add(ideal.rref_basis)
+            m = 0
+            while combo[m] == last[m]:
+                m += 1
+            for j in range(m, size):
+                chain[j + 1] = plus(chain[j], combo[j])
+            last = combo
+            ideal = chain[size]
+            if ideal.rref_basis not in interned:
+                interned[ideal.rref_basis] = ideal
                 yield ideal
                 produced += 1
             if produced >= budget or work_cap <= 0:

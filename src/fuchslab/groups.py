@@ -21,8 +21,10 @@ GroupElement = tuple[int, ...]
 
 _FACTOR_RE = re.compile(r"C(inf|[0-9]+)(?:\^([0-9]+))?")
 
-# Parser bounds: a larger order keeps trial division in prime_power_split
-# going for minutes; more factors build lists no command can use.
+# Parser bounds: prime_power_split finds the least prime factor p of an
+# order in about p^(1/2) Pollard-Brent steps, at most 10^3 below 10^12,
+# while a product of two large primes past the bound could take hours;
+# more factors build lists no command can use.
 MAX_CYCLIC_ORDER = 10**12
 MAX_FACTORS = 10**6
 
@@ -163,18 +165,76 @@ def render_group(g: GroupSpec) -> str:
     return " x ".join(parts) if parts else "C1"
 
 
+# Miller-Rabin with these bases decides primality exactly below 3.3 * 10^24
+# (Sorenson and Webster, 2015); above that it is a strong probable-prime test.
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+
+
+def _is_prime(n: int) -> bool:
+    """Miller-Rabin for an n with no prime factor in _MR_BASES, as
+    prime_power_split leaves it."""
+    d, s = n - 1, 0
+    while not d & 1:
+        d, s = d >> 1, s + 1
+    for a in _MR_BASES:
+        x = pow(a, d, n)
+        if x in (1, n - 1):
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
+
+
+def _pollard_brent(n: int) -> int:
+    """A nontrivial factor of an odd composite n (Brent's cycle search on
+    x -> x^2 + c, with gcds batched over 128 steps)."""
+    for c in itertools.count(1):
+        y, r, q, m = 2, 1, 1, 128
+        g = 1
+        while g == 1:
+            x = y
+            for _ in range(r):
+                y = (y * y + c) % n
+            k = 0
+            while k < r and g == 1:
+                ys = y
+                for _ in range(min(m, r - k)):
+                    y = (y * y + c) % n
+                    q = q * abs(x - y) % n
+                g = gcd(q, n)
+                k += m
+            r *= 2
+        if g == n:  # the batch overshot: step back one at a time
+            g = 1
+            while g == 1:
+                ys = (ys * ys + c) % n
+                g = gcd(abs(x - ys), n)
+        if g != n:
+            return g
+
+
 def prime_power_split(n: int) -> dict[int, int]:
-    """n as {prime: exponent}."""
+    """n as {prime: exponent}: trial division by the primes below 42, then
+    Miller-Rabin and Pollard-Brent on what is left, so a 12-digit prime or
+    a product of two 6-digit primes factors in well under a millisecond."""
     out: dict[int, int] = {}
-    d = 2
-    while d * d <= n:
-        while n % d == 0:
-            out[d] = out.get(d, 0) + 1
-            n //= d
-        d += 1 if d == 2 else 2
-    if n > 1:
-        out[n] = out.get(n, 0) + 1
-    return out
+    for p in _MR_BASES:
+        while n % p == 0:
+            out[p] = out.get(p, 0) + 1
+            n //= p
+    stack = [n] if n > 1 else []
+    while stack:
+        m = stack.pop()
+        if _is_prime(m):
+            out[m] = out.get(m, 0) + 1
+        else:
+            d = _pollard_brent(m)
+            stack += [d, m // d]
+    return dict(sorted(out.items()))
 
 
 def canonicalize(g: GroupSpec) -> GroupSpec:

@@ -1,6 +1,7 @@
 """Algebras, ideals, quotients, and unit groups."""
 
 import random
+from functools import lru_cache
 from math import prod
 
 import pytest
@@ -175,6 +176,11 @@ def test_trusted_builds_pass_the_public_checks():
                       for d in g.finite_orders]
             kernel = present_over(g, target, images).ideal
             Ideal(kernel.ambient, kernel.rref_basis)
+    # field_algebra skips the axiom check: F2[t]/(p) with p irreducible is a field
+    for k in range(1, 9):
+        f = field_algebra(k)
+        Algebra(f.dim, f.basis_labels, f.mult_table, f.one_vector)
+        assert unit_count(f) == (1 << k) - 1
     # product_algebra skips the axiom check, which its products must pass
     for parts in (fields, [group_algebra(C4), field_algebra(3)],
                   [construct_witness(parse_group("C2 x C4")).quotient_algebra, field_algebra(2)]):
@@ -226,6 +232,41 @@ def test_quotient_examples():
     assert q22.dim == 3
     assert unit_count(q22.quotient_algebra) == 4
     assert q22.unit_group_invariants() == (2, 2)
+
+
+def _invariant_factor_specs(n, least=2):
+    # every invariant-factor tuple (each order divides the next) of product n
+    if n == 1:
+        yield ()
+    for d in range(least, n + 1):
+        if n % d == 0:
+            for rest in _invariant_factor_specs(n // d, d):
+                if not rest or rest[0] % d == 0:
+                    yield (d,) + rest
+
+
+def test_quotient_table_reads_the_group_image():
+    # the table is read off group_image; the reference multiplies the coset
+    # representatives in F2[G] and reduces the product modulo the ideal
+    def reference(q):
+        amb = q.ideal.ambient
+        cols = [c for c in range(amb.dim) if c not in {gf2.lowest_bit(r) for r in q.ideal.rref_basis}]
+        return tuple(tuple(q.project(amb.mul(1 << ci, 1 << cj)) for cj in cols) for ci in cols)
+
+    rng = random.Random(20261019)
+    rings = list(_witness_rings())
+    specs = [spec for n in range(1, 17) for spec in _invariant_factor_specs(n)]
+    assert len(specs) == 25
+    for orders in specs:
+        g = GroupSpec(orders)
+        amb = group_algebra(g)
+        for _ in range(6):
+            gens = [rng.getrandbits(amb.dim) for _ in range(rng.randint(0, 2))]
+            ideal = ideal_span(amb, [v ^ (v.bit_count() & 1) for v in gens])
+            rings.append(quotient(g, ideal))
+    for q in rings:
+        assert q.quotient_algebra.mult_table == reference(q)
+        assert q.quotient_algebra.one_vector == q.group_image[0]
 
 
 def test_quotient_rejects_zero_ring():
@@ -297,12 +338,20 @@ def _unit_count_corpus():
                 algebras.append(quotient(g, ideal).quotient_algebra)
     algebras += [field_algebra(k) for k in range(1, 6)]
     algebras.append(product_algebra([field_algebra(1), field_algebra(2), field_algebra(3)]))
+    algebras += [q.quotient_algebra for q in _witness_rings()]
+    return algebras
+
+
+@lru_cache(maxsize=1)
+def _witness_rings():
+    # the witnesses of the 20 fully realizable groups of order <= 64
+    rings = []
     for h in ((), (3,), (4,), (4, 3)):
         rank = 0
         while prod(h) << rank <= 64:
-            algebras.append(construct_witness(GroupSpec((2,) * rank + h)).quotient_algebra)
+            rings.append(construct_witness(GroupSpec((2,) * rank + h)))
             rank += 1
-    return algebras
+    return tuple(rings)
 
 
 def test_unit_count_is_the_number_of_units():
@@ -447,6 +496,14 @@ def test_algebra_validation_rejects_garbage():
         Algebra(1, ("1",), ((1,),), 0)  # zero cannot be the identity
     with pytest.raises(ValueError):
         Algebra(1, ("1",), ((1,),), 1, group=GroupSpec((2,)))  # C2 needs two basis vectors
+    f4f4 = product_algebra([field_algebra(2), field_algebra(2)])
+    with pytest.raises(ValueError, match="Cayley table"):
+        # a valid ring of dim 4, but no group algebra: a label would make
+        # the engine read its entries as group products
+        Algebra(4, f4f4.basis_labels, f4f4.mult_table, f4f4.one_vector, group=GroupSpec((2, 2)))
+    c4 = group_algebra(C4)
+    with pytest.raises(ValueError, match="Cayley table"):
+        Algebra(4, c4.basis_labels, c4.mult_table, 1, group=GroupSpec((2, 2)))  # C4's table, C2^2's label
     with pytest.raises(ValueError, match="outside"):
         Ideal(group_algebra(C2), (0b100,))  # bit 2 is no element of F2[C2]
     with pytest.raises(ValueError, match="outside"):

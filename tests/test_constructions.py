@@ -26,6 +26,7 @@ from fuchslab import (
     fully_realizes,
     group_algebra,
     ideal_span,
+    ideal_sum,
     identity_hom,
     parse_group,
     present_over,
@@ -516,9 +517,10 @@ def test_spans_and_quotients_are_not_revalidated(monkeypatch):
     # F2[C2^2 x C4], then F2[C2^2 x C4 x C3]: no canonical C2^2 x C12 is built
     groups = [a.group.finite_orders for a in validated_algebras if a.group is not None]
     assert sorted(groups) == [(2, 2, 4), (2, 2, 4, 3)]
-    # and F4; the target of present_over, (F2[C2^2 x C4]/a24) x F4, is a
-    # product of valid algebras and is not checked again
-    assert sorted(a.dim for a in validated_algebras if a.group is None) == [2]
+    # F4 is a field by construction, and the target of present_over,
+    # (F2[C2^2 x C4]/a24) x F4, is a product of valid algebras: neither is
+    # checked again
+    assert [a for a in validated_algebras if a.group is None] == []
 
 
 @pytest.mark.parametrize("text", ["C3 x C3", "C2 x C8", "C2^4"])
@@ -540,6 +542,42 @@ def test_subset_ideals_match_a_span_per_subset(text):
                 expected.append(basis)
     got = [ideal.rref_basis for ideal in _subset_ideals(amb, pool, budget)]
     assert got == expected
+
+
+@pytest.mark.parametrize("text,budget", [
+    ("C4 x C4", 256), ("C3 x C3", 256), ("C2 x C8", 256), ("C2^4", 256), ("C2 x C4", 100000),
+])
+def test_subset_ideals_share_sums_per_prefix_ideal(text, budget):
+    # reference: one ideal_sum per subset over its members' principal
+    # ideals, in itertools.combinations order, with the same caps and stop
+    g = parse_group(text)
+    amb = group_algebra(g)
+    pool = _default_pool(g, amb)
+    principal = [ideal_span(amb, [v]) for v in pool]
+    work_cap = max(8 * budget, 512)
+    expected, seen = [], set()
+    for size in range(1, len(pool) + 1):
+        before = len(expected)
+        for combo in itertools.combinations(range(len(pool)), size):
+            if len(expected) >= budget or work_cap <= 0:
+                break
+            work_cap -= 1
+            basis = ideal_sum([principal[i] for i in combo]).rref_basis
+            if basis not in seen:
+                seen.add(basis)
+                expected.append(basis)
+        if len(expected) == before:
+            break
+    got = [ideal.rref_basis for ideal in _subset_ideals(amb, pool, budget)]
+    assert got == expected
+
+
+@pytest.mark.parametrize("text,examined,realizing", [("C4 x C4", 164, 9), ("C2 x C8", 56, 0)])
+def test_search_at_a_large_budget(text, examined, realizing):
+    # the default pool runs out of new ideals well before budget 100000
+    report = bounded_ideal_search(parse_group(text), budget=100000)
+    assert (report.ideals_examined, report.realizing_found, report.fully_realizing_found) == (
+        examined, realizing, 0)
 
 
 @pytest.mark.parametrize("text,realizable", [("C3 x C3", True), ("C2 x C4", True), ("C8", False)])

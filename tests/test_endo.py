@@ -4,6 +4,8 @@ import itertools
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fuchslab import (
     BudgetExceededError,
@@ -216,6 +218,36 @@ def test_scan_matches_preserves_ideal_on_random_ideals():
             assert count_preserving(g, ideal, len(homs)) == (sum(verdicts), first_fail)
             failures += first_fail is not None
     assert failures > 0
+
+
+def _presentations(limit, least=2):
+    # every tuple of cyclic orders >= 2, in any order, with product <= limit
+    yield ()
+    for d in range(least, limit + 1):
+        for rest in _presentations(limit // d):
+            yield (d,) + rest
+
+
+# the walk lists End(g) in full, so |End| <= 4096 leaves out only C2^4
+_SMALL_PRESENTATIONS = [o for o in _presentations(16) if endo_count(GroupSpec(o)) <= 4096]
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(st.data())
+def test_walk_matches_preserves_ideal_on_random_presentations(data):
+    # the walk alone, without the monoid generators count_preserving tries first
+    g = GroupSpec(data.draw(st.sampled_from(_SMALL_PRESENTATIONS)))
+    amb = group_algebra(g)
+    # a random vector mostly spans a big ideal that every map preserves;
+    # (1 + x)(1 + y) for group elements x, y gives small ones that many do not
+    index = st.integers(0, amb.dim - 1)
+    pair = st.tuples(index, index).map(lambda xy: amb.mul(1 | 1 << xy[0], 1 | 1 << xy[1]))
+    vectors = data.draw(st.lists(st.one_of(pair, st.integers(0, (1 << amb.dim) - 1)),
+                                 min_size=1, max_size=3))
+    ideal = ideal_span(amb, vectors)
+    homs = enumerate_endos(g)
+    walked = _scan_endos(_scan_data(g, ideal), len(homs))
+    assert list(walked) == [int(preserves_ideal(g, h, ideal)) for h in homs]
 
 
 def test_witness_index_reconstruction():

@@ -1,6 +1,7 @@
 """Group specs: parsing, canonical form, elements, and endomorphisms."""
 
 import itertools
+import random
 from math import gcd, prod
 
 import pytest
@@ -23,7 +24,7 @@ from fuchslab import (
     parse_group,
     render_group,
 )
-from fuchslab.groups import element_index, image_candidates
+from fuchslab.groups import MAX_CYCLIC_ORDER, element_index, image_candidates, prime_power_split
 
 factor_lists = st.lists(st.integers(min_value=1, max_value=24), max_size=4)
 
@@ -203,3 +204,32 @@ def test_group_spec_validation():
         GroupSpec((1,))
     with pytest.raises(ValueError):
         GroupSpec((2,), infinite_rank=-1)
+
+
+def _trial_division(n):
+    out, d = {}, 2
+    while d * d <= n:
+        while n % d == 0:
+            out[d] = out.get(d, 0) + 1
+            n //= d
+        d += 1
+    if n > 1:
+        out[n] = out.get(n, 0) + 1
+    return out
+
+
+def test_prime_power_split_matches_trial_division():
+    for n in range(1, 10**5 + 1):
+        assert prime_power_split(n) == _trial_division(n), n
+    rng = random.Random(20261019)
+
+    def prime_near(m):
+        while _trial_division(m) != {m: 1}:
+            m += 1
+        return m
+
+    near_million = [prime_near(10**6 - rng.randrange(10**4)) for _ in range(6)]
+    semiprimes = [p * q for p, q in zip(near_million, near_million[1:])]
+    samples = [rng.randrange(2, 10**12 + 1) for _ in range(8)]
+    for n in semiprimes + samples + [MAX_CYCLIC_ORDER, 999999999989, 2**39, 3**25]:
+        assert prime_power_split(n) == _trial_division(n), n
