@@ -6,11 +6,14 @@ when its linear extension maps I into I. The lifting endomorphisms form a
 submonoid of End(G), so a positive verdict needs only a monoid generating
 set of End(G); otherwise the engine walks End(G), filters by ideal
 preservation, and renders the verdict with a count and a first failure.
+One lift test, _lift_check, serves the generators, the walk,
+preserves_ideal and ring_endos.
 """
 
 from __future__ import annotations
 
 import itertools
+from collections.abc import Callable
 from dataclasses import dataclass
 
 from . import gf2
@@ -22,7 +25,6 @@ from .groups import (
     GroupSpec,
     add_elements,
     canonicalize,
-    element_index,
     elements,
     endo_count,
     identity_element,
@@ -46,29 +48,14 @@ class RealizabilityReport:
     failing_witness: GroupHom | None
 
 
-def preserves_ideal(g: GroupSpec, phi: GroupHom, i: Ideal) -> bool:
-    """True iff the linear extension of phi maps every RREF basis vector of
-    the ideal back into the ideal."""
-    if i.ambient.group != g:
-        raise ValueError("the ideal must live in the group algebra of g")
-    els = elements(g)
-    image_bit: dict[int, int] = {}
-    for v in i.rref_basis:
-        acc = 0
-        for b in gf2.bits(v):
-            bit = image_bit.get(b)
-            if bit is None:
-                bit = 1 << element_index(g, phi.apply(els[b]))
-                image_bit[b] = bit
-            acc ^= bit
-        if not i.contains(acc):
-            return False
-    return True
+def _lift_check(g: GroupSpec, ideal: Ideal) -> Callable[[tuple[GroupElement, ...]], bool]:
+    """The lift test: a predicate on the generator images of an endomorphism
+    phi of g, true iff F2[phi] maps the ideal into itself.
 
-
-def _scan_data(g: GroupSpec, ideal: Ideal) -> tuple:
-    """Precomputed tables for the endomorphism filter, which checks the
-    ideal's RREF basis, the same criterion as preserves_ideal."""
+    It maps each group element in the support of the ideal's RREF basis
+    through the Cayley table, then, one basis vector at a time, XORs the
+    reductions of the images; phi lifts iff every such sum is zero.
+    """
     amb = ideal.ambient
     if amb.group != g:
         raise ValueError("the ideal must live in the group algebra of g")
@@ -76,27 +63,17 @@ def _scan_data(g: GroupSpec, ideal: Ideal) -> tuple:
         tuple(entry.bit_length() - 1 for entry in row) for row in amb.mult_table
     )
     red = tuple(ideal.reduce(1 << b) for b in range(amb.dim))
+    els = elements(g)
+    index = {e: b for b, e in enumerate(els)}
     needed = sorted({b for v in ideal.rref_basis for b in gf2.bits(v)})
     position = {b: i for i, b in enumerate(needed)}
-    els = elements(g)
     steps = tuple(
         tuple((j, e) for j, e in enumerate(els[b]) if e) for b in needed
     )
     checks = tuple(tuple(position[b] for b in gf2.bits(v)) for v in ideal.rref_basis)
-    cands = tuple(
-        tuple(element_index(g, e) for e in cand) for cand in image_candidates(g)
-    )
-    return (tuple(len(c) for c in cands), cands, cayley, red, steps, checks)
 
-
-def _scan_endos(data: tuple, total: int) -> bytearray:
-    """One verdict byte per endomorphism among the first `total` in
-    enumeration order: 1 if it preserves the ideal, else 0."""
-    sizes, cands, cayley, red, steps, checks = data
-    digits = [0] * len(sizes)
-    kept = bytearray(total)
-    for t in range(total):
-        chosen = [cands[j][d] for j, d in enumerate(digits)]
+    def lifts(images: tuple[GroupElement, ...]) -> bool:
+        chosen = [index[e] for e in images]
         imgs = []
         for step in steps:
             img = 0
@@ -105,22 +82,23 @@ def _scan_endos(data: tuple, total: int) -> bytearray:
                 for _ in range(mult):
                     img = cayley[img][cj]
             imgs.append(img)
-        ok = True
         for support in checks:
             acc = 0
             for pos in support:
                 acc ^= red[imgs[pos]]
             if acc:
-                ok = False
-                break
-        if ok:
-            kept[t] = 1
-        for j in range(len(digits) - 1, -1, -1):
-            digits[j] += 1
-            if digits[j] < sizes[j]:
-                break
-            digits[j] = 0
-    return kept
+                return False
+        return True
+
+    return lifts
+
+
+def preserves_ideal(g: GroupSpec, phi: GroupHom, i: Ideal) -> bool:
+    """True iff the linear extension of phi maps every RREF basis vector of
+    the ideal back into the ideal."""
+    if not phi.source == phi.target == g:
+        raise ValueError("phi must be an endomorphism of g")
+    return _lift_check(g, i)(phi.images)
 
 
 def _monoid_generators(g: GroupSpec) -> list[GroupHom] | None:
@@ -215,27 +193,35 @@ def count_preserving(g: GroupSpec, ideal: Ideal, total: int,
     endomorphism does, since F2[phi o psi] = F2[phi] o F2[psi], and nothing
     is walked.
     Otherwise the walk counts them, refused when total exceeds max_endos.
+    total must lie in 0..|End(g)|.
+
+    The paper's odd-order example: F2 x F4 x F4 presents C3 x C3, and 25 of
+    its 81 endomorphisms lift, the one at index 10 being the first that
+    does not.
+
+    >>> from fuchslab import GroupSpec, field_algebra, present_over, product_algebra, product_element
+    >>> fields = [field_algebra(1), field_algebra(2), field_algebra(2)]
+    >>> u = product_element(fields, [1, 0b10, 0b01])
+    >>> v = product_element(fields, [1, 0b01, 0b10])
+    >>> c33 = GroupSpec((3, 3))
+    >>> q = present_over(c33, product_algebra(fields), [u, v])
+    >>> count_preserving(c33, q.ideal, 81)
+    (25, 10)
     """
+    lifts = _lift_check(g, ideal)
+    if not 0 <= total <= endo_count(g):
+        raise ValueError(f"total {total} is outside 0..|End(G)| = {endo_count(g)}")
     gens = _monoid_generators(g)
-    if gens is not None and all(preserves_ideal(g, s, ideal) for s in gens):
+    if gens is not None and all(lifts(s.images) for s in gens):
         return total, None
-    kept = _scan_endos(_scan_data(g, ideal), _within_budget(total, max_endos))
-    first_fail = kept.find(0)
-    return kept.count(1), None if first_fail < 0 else first_fail
-
-
-def _homs_from_indices(g: GroupSpec, indices) -> list[GroupHom]:
-    """The endomorphisms at the given enumeration indices: mixed-radix
-    digits over image_candidates(g), the last generator fastest."""
-    cands = image_candidates(g)
-    homs = []
-    for index in indices:
-        images = []
-        for cand in reversed(cands):
-            index, digit = divmod(index, len(cand))
-            images.append(cand[digit])
-        homs.append(GroupHom(g, g, tuple(reversed(images))))
-    return homs
+    walk = itertools.product(*image_candidates(g))
+    realized, first_fail = 0, None
+    for t, images in enumerate(itertools.islice(walk, _within_budget(total, max_endos))):
+        if lifts(images):
+            realized += 1
+        elif first_fail is None:
+            first_fail = t
+    return realized, first_fail
 
 
 def _within_budget(total: int, max_endos: int) -> int:
@@ -246,8 +232,8 @@ def _within_budget(total: int, max_endos: int) -> int:
 
 
 def ring_endos(q: QuotientRing, *, max_endos: int = DEFAULT_MAX_ENDOS) -> list[GroupHom]:
-    """The group endomorphisms of G that lift to ring endomorphisms of q,
-    read from the scan's verdicts in enumeration order.
+    """The group endomorphisms of G that lift to ring endomorphisms of q, in
+    enumeration order.
 
     Requires the unit group of q to be exactly the image of G, so that the
     returned list is in bijection with End(q).
@@ -255,8 +241,10 @@ def ring_endos(q: QuotientRing, *, max_endos: int = DEFAULT_MAX_ENDOS) -> list[G
     g = q.parent_group
     if q.unit_to_group is None:
         raise UnitGroupMismatchError("the unit group is not the image of the presenting group")
-    kept = _scan_endos(_scan_data(g, q.ideal), _within_budget(endo_count(g), max_endos))
-    return _homs_from_indices(g, (t for t, ok in enumerate(kept) if ok))
+    lifts = _lift_check(g, q.ideal)
+    _within_budget(endo_count(g), max_endos)
+    return [GroupHom(g, g, images)
+            for images in itertools.product(*image_candidates(g)) if lifts(images)]
 
 
 def fully_realizes(q: QuotientRing, expected: GroupSpec,
@@ -277,7 +265,8 @@ def fully_realizes(q: QuotientRing, expected: GroupSpec,
     fully = unit_ok and realized == total
     witness = None
     if unit_ok and not fully and first_fail is not None:
-        witness = _homs_from_indices(g, [first_fail])[0]
+        walk = itertools.product(*image_candidates(g))
+        witness = GroupHom(g, g, next(itertools.islice(walk, first_fail, None)))
     return RealizabilityReport(
         group=expected_c,
         ring_dim=q.dim,

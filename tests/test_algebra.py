@@ -32,6 +32,7 @@ from fuchslab import (
     units,
 )
 from fuchslab import gf2
+from fuchslab.algebra import _cayley_table
 from fuchslab.constructions import _default_pool, _subset_ideals
 
 C2 = GroupSpec((2,))
@@ -504,6 +505,19 @@ def test_algebra_validation_rejects_garbage():
     c4 = group_algebra(C4)
     with pytest.raises(ValueError, match="Cayley table"):
         Algebra(4, c4.basis_labels, c4.mult_table, 1, group=GroupSpec((2, 2)))  # C4's table, C2^2's label
+    with pytest.raises(ValueError, match="identity"):
+        # C2's Cayley table, but with x as its identity
+        Algebra(2, ("1", "x"), _cayley_table(C2), 2, group=C2)
+    # above dim 64 the axioms are checked too: b_i * b_j = b_{1 + (i + 2j) mod 64}
+    # for i, j >= 1 is neither commutative nor associative
+    dim = 65
+    table = tuple(
+        tuple(1 << (i or j) if not (i and j) else 1 << (1 + (i + 2 * j) % 64)
+              for j in range(dim))
+        for i in range(dim)
+    )
+    with pytest.raises(ValueError, match="commutative"):
+        Algebra(dim, tuple(f"b{i}" for i in range(dim)), table, 1)
     with pytest.raises(ValueError, match="outside"):
         Ideal(group_algebra(C2), (0b100,))  # bit 2 is no element of F2[C2]
     with pytest.raises(ValueError, match="outside"):

@@ -491,18 +491,18 @@ def test_spans_and_quotients_are_not_revalidated(monkeypatch):
     # ideal_span and quotient build objects valid by construction; only the
     # group algebras, built through the public Algebra(...), are checked
     validated_ideals, validated_algebras = [], []
-    check_ideal, check_axioms = Ideal.__post_init__, Algebra._validate_axioms
+    check_ideal, check_algebra = Ideal.__post_init__, Algebra.__post_init__
 
     def counted_ideal(self):
         validated_ideals.append(self)
         check_ideal(self)
 
-    def counted_axioms(self):
+    def counted_algebra(self):
         validated_algebras.append(self)
-        check_axioms(self)
+        check_algebra(self)
 
     monkeypatch.setattr(Ideal, "__post_init__", counted_ideal)
-    monkeypatch.setattr(Algebra, "_validate_axioms", counted_axioms)
+    monkeypatch.setattr(Algebra, "__post_init__", counted_algebra)
     group_algebra.cache_clear()
     report = bounded_ideal_search(parse_group("C4 x C4"))
     assert (report.ideals_examined, report.realizing_found, report.fully_realizing_found) == (127, 6, 0)

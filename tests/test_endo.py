@@ -2,6 +2,7 @@
 
 import itertools
 import random
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -30,14 +31,41 @@ from fuchslab import (
     ring_endos,
     ring_endos_oracle,
 )
-from fuchslab.endo import _monoid_generators, _scan_data, _scan_endos
+from fuchslab import endo
+from fuchslab.endo import _lift_check, _monoid_generators
 from fuchslab.gf2 import bits
-from fuchslab.groups import element_index
+from fuchslab.groups import element_index, image_candidates
 
 C2 = GroupSpec((2,))
 C3 = GroupSpec((3,))
 C4 = GroupSpec((4,))
 C33 = GroupSpec((3, 3))
+
+
+def _preserves_reference(g, phi, ideal):
+    """The lift test by a second path, independent of the engine's Cayley
+    tables: GroupHom.apply and element_index map each basis element of the
+    ideal's RREF basis vectors, and the image must lie in the ideal."""
+    els = elements(g)
+    image_bit = {}
+    for v in ideal.rref_basis:
+        acc = 0
+        for b in bits(v):
+            bit = image_bit.get(b)
+            if bit is None:
+                bit = 1 << element_index(g, phi.apply(els[b]))
+                image_bit[b] = bit
+            acc ^= bit
+        if not ideal.contains(acc):
+            return False
+    return True
+
+
+def _walk(g, ideal, total):
+    """count_preserving's walk alone, without the monoid generators it
+    tries first."""
+    with mock.patch.object(endo, "_monoid_generators", lambda g: None):
+        return count_preserving(g, ideal, total)
 
 
 def _chain_ring():
@@ -87,18 +115,42 @@ def _oracle_rings():
 
 
 def test_generator_and_basis_checks_agree():
-    # the scan's precomputed tables and ring_endos, which reads the scan's
-    # verdicts, against preserves_ideal, endomorphism by endomorphism
+    # count_preserving and ring_endos, which share the engine's lift test,
+    # against the reference, endomorphism by endomorphism
     rings = _oracle_rings() + [_f2f4f4_ring(), quotient(GroupSpec((2, 4)), a24_ideal(1, True))]
     for q in rings:
         g = q.parent_group
         homs = enumerate_endos(g)
-        by_basis = [preserves_ideal(g, h, q.ideal) for h in homs]
+        by_basis = [_preserves_reference(g, h, q.ideal) for h in homs]
         preserved, first_fail = count_preserving(g, q.ideal, endo_count(g))
         assert preserved == sum(by_basis)
         expected_first = next((i for i, ok in enumerate(by_basis) if not ok), None)
         assert first_fail == expected_first
         assert ring_endos(q) == [h for h, ok in zip(homs, by_basis) if ok]
+
+
+def test_preserves_ideal_refuses_a_map_of_another_group():
+    ideal = ideal_span(group_algebra(C3), [])
+    with pytest.raises(ValueError, match="endomorphism of g"):
+        preserves_ideal(C3, GroupHom(C2, C2, ((1,),)), ideal)
+    with pytest.raises(ValueError, match="endomorphism of g"):
+        preserves_ideal(C3, GroupHom(C3, GroupSpec((6,)), ((2,),)), ideal)
+
+
+def test_count_preserving_refuses_a_total_outside_end():
+    # the walk: 25 of the 81 endomorphisms lift, and no 162 exist to count
+    q = _f2f4f4_ring()
+    assert count_preserving(C33, q.ideal, 81) == (25, 10)
+    for total in (82, 162, -1):
+        with pytest.raises(ValueError, match="outside"):
+            count_preserving(C33, q.ideal, total)
+    # the monoid generators: every map preserves the zero ideal of F2[C2^2]
+    c22 = GroupSpec((2, 2))
+    zero = ideal_span(group_algebra(c22), [])
+    assert count_preserving(c22, zero, 16) == (16, None)
+    for total in (17, 100, -1):
+        with pytest.raises(ValueError, match="outside"):
+            count_preserving(c22, zero, total)
 
 
 def test_ring_endos_counts():
@@ -213,7 +265,7 @@ def test_scan_matches_preserves_ideal_on_random_ideals():
             raw = [rng.randrange(1 << amb.dim) for _ in range(rng.randint(1, 2))]
             vectors = [v ^ (v.bit_count() & 1) for v in raw]
             ideal = ideal_span(amb, vectors)
-            verdicts = [preserves_ideal(g, h, ideal) for h in homs]
+            verdicts = [_preserves_reference(g, h, ideal) for h in homs]
             first_fail = next((i for i, ok in enumerate(verdicts) if not ok), None)
             assert count_preserving(g, ideal, len(homs)) == (sum(verdicts), first_fail)
             failures += first_fail is not None
@@ -246,17 +298,28 @@ def test_walk_matches_preserves_ideal_on_random_presentations(data):
                                  min_size=1, max_size=3))
     ideal = ideal_span(amb, vectors)
     homs = enumerate_endos(g)
-    walked = _scan_endos(_scan_data(g, ideal), len(homs))
-    assert list(walked) == [int(preserves_ideal(g, h, ideal)) for h in homs]
+    expected = [_preserves_reference(g, h, ideal) for h in homs]
+    lifts = _lift_check(g, ideal)
+    assert [lifts(images) for images in itertools.product(*image_candidates(g))] == expected
+    first_fail = next((i for i, ok in enumerate(expected) if not ok), None)
+    assert _walk(g, ideal, len(homs)) == (sum(expected), first_fail)
 
 
 def test_witness_index_reconstruction():
-    from fuchslab.endo import _homs_from_indices
-
+    # the walk's indices count in enumerate_endos order: the witness is the
+    # endomorphism at the first failing index, and ring_endos lists the
+    # lifting ones in that order
     g = GroupSpec((2, 4))
     homs = enumerate_endos(g)
-    indices = (0, 1, 7, 31)
-    assert _homs_from_indices(g, indices) == [homs[idx] for idx in indices]
+    amb = group_algebra(g)
+    q = quotient(g, ideal_span(amb, [amb.mul(0b11, 1 | 1 << 5)]))
+    verdicts = [_preserves_reference(g, h, q.ideal) for h in homs]
+    realized, first_fail = _walk(g, q.ideal, len(homs))
+    assert (realized, first_fail) == (sum(verdicts), verdicts.index(False)) == (24, 1)
+    rep = fully_realizes(q, g)
+    assert rep.failing_witness == homs[first_fail]
+    assert ring_endos(q) == [h for h, ok in zip(homs, verdicts) if ok]
+    assert ring_endos(quotient(g, a24_ideal(1, True))) == homs
 
 
 # every presentation (2,)*a + (4,)? + (3,)? with a <= 4 and |End| <= 131,072
@@ -346,8 +409,8 @@ def test_generator_verdict_matches_the_walk_on_random_ideals():
             x, y = rng.randrange(1, amb.dim), rng.randrange(1, amb.dim)
             drawn = ideal_span(amb, [amb.mul(1 | 1 << x, 1 | 1 << y)])
             for ideal in (drawn, _stable_under(g, gens, drawn)):
-                by_gens = all(preserves_ideal(g, h, ideal) for h in gens)
-                by_walk = all(_scan_endos(_scan_data(g, ideal), endo_count(g)))
+                by_gens = all(_preserves_reference(g, h, ideal) for h in gens)
+                by_walk = _walk(g, ideal, endo_count(g))[1] is None
                 assert by_gens == by_walk, (orders, ideal.rref_basis)
                 verdicts.append(by_gens)
     assert True in verdicts and False in verdicts
