@@ -12,7 +12,6 @@ from .algebra import (
     group_algebra,
     ideal_span,
     ideal_sum,
-    invariants_from_units,
     is_unit,
     multiplicative_order,
     present_over,

@@ -28,7 +28,6 @@ from .groups import (
     GroupSpec,
     canonicalize,
     elements,
-    prime_power_split,
 )
 
 AlgebraElement = int
@@ -343,35 +342,38 @@ def multiplicative_order(a: Algebra, u: AlgebraElement) -> int:
     return k
 
 
-def units(a: Algebra, *, budget_dim: int = DEFAULT_UNIT_BUDGET_DIM) -> frozenset[AlgebraElement]:
-    """All invertible elements, by a scan over 2**dim: unit_count's reference."""
-    if a.dim > budget_dim:
+def units(a: Algebra) -> frozenset[AlgebraElement]:
+    """All invertible elements, by a scan over 2**dim: the reference that
+    unit_count and unit_group_invariants are tested against."""
+    if a.dim > DEFAULT_UNIT_BUDGET_DIM:
         raise BudgetExceededError(
-            f"unit enumeration over 2^{a.dim} elements exceeds the dim <= {budget_dim} budget"
+            f"unit enumeration over 2^{a.dim} elements exceeds the dim <= "
+            f"{DEFAULT_UNIT_BUDGET_DIM} budget"
         )
     return frozenset(e for e in range(1, 1 << a.dim) if is_unit(a, e))
 
 
-def unit_count(a: Algebra) -> int:
-    """|a^x|, counted by linear algebra with no scan over the elements.
+def _local_decomposition(a: Algebra) -> tuple[list[list[int]], list[tuple[int, int]]]:
+    """The images of the basis under F^0, F^1, ..., F^K, and the pair
+    (dim a*e, dim N*e) for each primitive idempotent e.
 
     Squaring F(x) = x^2 is F2-linear in a commutative ring of characteristic
     2. For nilpotent x the ideals x^i*a shrink strictly until they vanish
     (x^i*a = x^(i+1)*a gives x^i*(1 + x*b) = 0, and 1 + x*b is a unit), so
-    x^dim = 0 and F^k with 2^k >= dim kills exactly the nilradical N.
+    x^dim = 0 and F^K with 2^K >= dim kills exactly the nilradical N.
     F + 1 kills exactly the idempotents, a subspace closed under products.
     Splitting 1 by a basis f of them (each part p into p*f and p + p*f,
     zeros dropped) leaves the atoms of that Boolean ring, the primitive
     idempotents e. So a is the product of the rings a*e; each has no
     idempotents but 0 and e, so it is local, and its non-units form its
-    nilradical N*e. Hence |a^x| = prod_e (2^dim(a*e) - 2^dim(N*e)).
+    nilradical N*e.
     """
     basis = [1 << i for i in range(a.dim)]
     squares = [a.mul(b, b) for b in basis]  # F(v) is the sum of squares[i] over v's bits
-    frob = basis
-    for _ in range((a.dim - 1).bit_length()):  # F^k for the least k with 2^k >= dim
-        frob = [reduce(xor, (squares[i] for i in gf2.bits(v)), 0) for v in frob]
-    nil = gf2.kernel_of_images(frob, a.dim)
+    steps = [basis]
+    for _ in range((a.dim - 1).bit_length()):  # up to the least K with 2^K >= dim
+        steps.append([reduce(xor, (squares[i] for i in gf2.bits(v)), 0) for v in steps[-1]])
+    nil = gf2.kernel_of_images(steps[-1], a.dim)
     parts = [a.one_vector]
     for f in gf2.kernel_of_images([s ^ b for s, b in zip(squares, basis)], a.dim):
         parts = [q for p in parts for q in (a.mul(p, f), a.mul(p, f) ^ p) if q]
@@ -381,51 +383,39 @@ def unit_count(a: Algebra) -> int:
             return len(space)
         return len(gf2.rref(a.mul(e, v) for v in space))
 
-    return prod((1 << span_dim(e, basis)) - (1 << span_dim(e, nil)) for e in parts)
+    return steps, [(span_dim(e, basis), span_dim(e, nil)) for e in parts]
 
 
-def invariants_from_units(a: Algebra, unit_set: frozenset[AlgebraElement]) -> tuple[int, ...]:
-    """Invariant factors of a finite abelian unit group from order statistics.
+def unit_count(a: Algebra) -> int:
+    """|a^x|, counted by linear algebra with no scan over the elements.
 
-    Counts of elements of order dividing p^k determine the p-Sylow cyclic
-    decomposition; the prime-power pieces are then merged with the same CRT
-    regrouping used for group specs.
+    a is the product of local rings a*e whose non-units form N*e (see
+    _local_decomposition), so |a^x| = prod_e (2^dim(a*e) - 2^dim(N*e)).
     """
-    n = len(unit_set)
-    if n == 1:
-        return ()
-    pieces: list[int] = []
-    for p, emax in prime_power_split(n).items():
-        hist = [0] * (emax + 1)
-        for u in unit_set:
-            cur = u
-            k = 0
-            while k <= emax and cur != a.one_vector:
-                cur = a.power(cur, p)
-                k += 1
-            if k <= emax:
-                hist[k] += 1
-        counts = list(itertools.accumulate(hist))
-        logs = []
-        for c in counts:
-            e = 0
-            while p**e < c:
-                e += 1
-            if p**e != c:
-                raise FuchslabError("unit order statistics are not those of an abelian group")
-            logs.append(e)
-        at_least = [logs[k] - logs[k - 1] for k in range(1, emax + 1)]
-        for i in range(1, at_least[0] + 1):
-            exponent = sum(1 for m in at_least if m >= i)
-            pieces.append(p**exponent)
-    if prod(pieces) != n:
-        raise FuchslabError("unit order statistics are not those of an abelian group")
+    return prod((1 << d) - (1 << n) for d, n in _local_decomposition(a)[1])
+
+
+def unit_group_invariants(a: Algebra) -> tuple[int, ...]:
+    """Invariant factors of the unit group of `a`, by linear algebra.
+
+    a^x is the product of the local unit groups (a*e)^x, and each is
+    (a*e / N*e)^x x (1 + N*e). The residue field has 2^f elements,
+    f = dim(a*e) - dim(N*e), so its unit group is cyclic of order 2^f - 1.
+    1 + N is the 2-part: u -> u + 1 maps {u : u^(2^k) = 1} onto ker F^k,
+    since 1 + a nilpotent is a unit. With d_k = dim ker F^k, 1 + N has
+    d_k - d_(k-1) cyclic factors of order at least 2^k.
+
+    >>> unit_group_invariants(group_algebra(GroupSpec((4,))))
+    (2, 4)
+    >>> unit_group_invariants(product_algebra([field_algebra(1), field_algebra(2)]))
+    (3,)
+    """
+    steps, local = _local_decomposition(a)
+    kernel_dims = [a.dim - len(gf2.rref(step)) for step in steps]  # d_0 = 0, ..., d_K
+    at_least = [d - c for c, d in zip(kernel_dims, kernel_dims[1:])]
+    pieces = [1 << sum(m >= i for m in at_least) for i in range(1, max(at_least, default=0) + 1)]
+    pieces += [(1 << (d - n)) - 1 for d, n in local if d - n > 1]
     return canonicalize(GroupSpec(tuple(pieces))).finite_orders
-
-
-def unit_group_invariants(a: Algebra, *, budget_dim: int = DEFAULT_UNIT_BUDGET_DIM) -> tuple[int, ...]:
-    """Invariant factors of the unit group of `a`."""
-    return invariants_from_units(a, units(a, budget_dim=budget_dim))
 
 
 def augmentation(g: GroupSpec, e: AlgebraElement) -> int:
@@ -513,9 +503,10 @@ def unit_embedding_basis(g: GroupSpec, target: Algebra,
     generator j to images[j].
 
     The images must be units of the target whose multiplicative orders
-    divide the matching factor orders. The basis is not validated as an
-    ideal: the kernel of a ring map is one, and a caller that drops
-    duplicate kernels validates only the new ones.
+    divide the matching factor orders; u^d = 1 alone makes u a unit, with
+    inverse u^(d-1). The basis is not validated as an ideal: the kernel of
+    a ring map is one, and a caller that drops duplicate kernels validates
+    only the new ones.
     """
     if not g.is_finite:
         raise InfiniteGroupError("unit embeddings are materialized for finite groups only")
@@ -524,11 +515,9 @@ def unit_embedding_basis(g: GroupSpec, target: Algebra,
     for d, u in zip(g.finite_orders, images):
         if u < 0 or u >> target.dim:
             raise OrderMismatchError(f"image {u:#b} lies outside the dim-{target.dim} target")
-        if not is_unit(target, u):
-            raise OrderMismatchError(f"image {target.element_label(u)} is not a unit")
         if target.power(u, d) != target.one_vector:
             raise OrderMismatchError(
-                f"unit {target.element_label(u)} does not have order dividing {d}"
+                f"image {target.element_label(u)} is not a unit of order dividing {d}"
             )
     pows = [
         [target.power(u, t) for t in range(d)]

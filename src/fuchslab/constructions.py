@@ -27,7 +27,6 @@ from .algebra import (
     product_element,
     quotient,
     unit_embedding_basis,
-    units,
 )
 from .endo import fully_realizes
 from .errors import (
@@ -413,13 +412,12 @@ def _fieldprod_kernels(spec: GroupSpec, budget: int):
         for n_f4 in range(n_factors + 1):
             n_f2 = n_factors - n_f4
             factors = [field_algebra(1)] * n_f2 + [field_algebra(2)] * n_f4
-            target = product_algebra(factors) if len(factors) > 1 else factors[0]
-            unit_sets = []
-            all_units = units(target)
-            for d in spec.finite_orders:
-                unit_sets.append(
-                    sorted(u for u in all_units if target.power(u, d) == target.one_vector)
-                )
+            target = product_algebra(factors)
+            # the units of a product of fields are its elements with no zero component
+            all_units = [product_element(factors, c) for c in itertools.product(
+                *(range(1, 1 << f.dim) for f in factors))]
+            unit_sets = [sorted(u for u in all_units if target.power(u, d) == target.one_vector)
+                         for d in spec.finite_orders]
             for images in itertools.product(*unit_sets):
                 basis = unit_embedding_basis(spec, target, list(images))
                 if basis in seen:

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from fuchslab import cli, constructions, parse_group
+from fuchslab import GroupSpec, algebra, canonicalize, cli, constructions, parse_group, render_group
 from fuchslab.cli import EXIT_BUDGET, EXIT_CHECK_FAILED, EXIT_OK, EXIT_USAGE, run
 from fuchslab.selftest import CriterionResult
 
@@ -64,6 +64,22 @@ def test_construct(capsys):
     assert code == EXIT_OK
     assert report["ring_dim"] == 5
     assert report["unit_group"] == "C2^2 x C4"
+
+
+def test_construct_reads_the_unit_group_without_listing_units(capsys, monkeypatch):
+    # the unit group of each of the 20 witnesses of order <= 64 comes from
+    # linear algebra, with no enumeration of the units
+    def no_scan(*args, **kwargs):
+        raise AssertionError("units() was called")
+
+    monkeypatch.setattr(algebra, "units", no_scan)
+    groups = [GroupSpec((2,) * rank + h) for h in ((), (3,), (4,), (4, 3))
+              for rank in range(7) if prod(h) << rank <= 64]
+    assert len(groups) == 20
+    for g in groups:
+        code, report = _run_json(capsys, ["construct", render_group(g)])
+        assert code == EXIT_OK and report["fully_realizable"]
+        assert report["unit_group"] == report["group"] == render_group(canonicalize(g))
 
 
 def test_endos(capsys):

@@ -609,7 +609,6 @@ def test_unit_to_group_enumerates_no_units(monkeypatch):
         raise AssertionError("units() was called")
 
     monkeypatch.setattr(algebra, "units", no_scan)
-    monkeypatch.setattr(constructions, "units", no_scan)
     report = bounded_ideal_search(parse_group("C4 x C4"))
     assert (report.ideals_examined, report.realizing_found, report.fully_realizing_found) == (127, 6, 0)
     g = parse_group("C2^2 x C12")
