@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from functools import lru_cache, reduce
+from functools import cached_property, lru_cache, reduce
 from math import prod
 from operator import xor
 
@@ -432,8 +432,8 @@ class QuotientRing:
     """F2[G]/I on the non-pivot coordinates of the ideal's RREF basis.
 
     The projection is a ring homomorphism; `group_image[i]` is the coset of
-    the i-th group element. `unit_to_group`, computed on first use, maps the
-    units onto G when they are exactly its image, and is None otherwise.
+    the i-th group element. `units_are_group`, computed on first use, tells
+    whether the units are exactly that image, one element of G each.
     """
 
     def __init__(self, parent_group: GroupSpec, ideal: Ideal) -> None:
@@ -475,18 +475,15 @@ class QuotientRing:
     def dim(self) -> int:
         return self.quotient_algebra.dim
 
-    @property
-    def unit_to_group(self) -> dict[AlgebraElement, GroupElement] | None:
+    @cached_property
+    def units_are_group(self) -> bool:
         """The package's one test that the units are exactly the image of G.
 
         The projection is a ring map, so it sends G into the units; one-to-one
         on G, with unit_count equal to |G|, its image is all of them.
         """
-        if not hasattr(self, "_unit_to_group"):
-            image = dict(zip(self.group_image, elements(self.parent_group)))
-            ok = len(image) == len(self.group_image) == unit_count(self.quotient_algebra)
-            self._unit_to_group = image if ok else None
-        return self._unit_to_group
+        image = self.group_image
+        return len(set(image)) == len(image) == unit_count(self.quotient_algebra)
 
     def unit_group_invariants(self) -> tuple[int, ...]:
         return unit_group_invariants(self.quotient_algebra)
@@ -519,16 +516,13 @@ def unit_embedding_basis(g: GroupSpec, target: Algebra,
             raise OrderMismatchError(
                 f"image {target.element_label(u)} is not a unit of order dividing {d}"
             )
-    pows = [
-        [target.power(u, t) for t in range(d)]
-        for d, u in zip(g.finite_orders, images)
-    ]
-    elem_images = []
-    for e in elements(g):
-        acc = target.one_vector
-        for j, t in enumerate(e):
-            acc = target.mul(acc, pows[j][t])
-        elem_images.append(acc)
+    # elements(g x C_d) lists (e, 0), (e, 1), ..., (e, d - 1) for each e of g in turn
+    elem_images = [target.one_vector]
+    for d, u in zip(g.finite_orders, images):
+        layers = [elem_images]
+        for _ in range(d - 1):
+            layers.append([target.mul(v, u) for v in layers[-1]])
+        elem_images = [v for column in zip(*layers) for v in column]
     return gf2.kernel_of_images(elem_images, target.dim)
 
 

@@ -92,12 +92,6 @@ def _add_common_flags(parser: argparse.ArgumentParser, top_level: bool) -> None:
         help="omit timings for byte-stable output",
         **kwargs,
     )
-    parser.add_argument(
-        "--max-endos",
-        type=_positive_int,
-        help="endomorphism enumeration budget",
-        **({"default": DEFAULT_MAX_ENDOS} if top_level else kwargs),
-    )
 
 
 def _positive_int(text: str) -> int:
@@ -126,6 +120,8 @@ def build_parser() -> argparse.ArgumentParser:
     verify = sub.add_parser("verify", parents=[common])
     verify.add_argument("spec")
     verify.add_argument("--ring", help="witness recipe, e.g. a24(rank=2,c4=true)")
+    verify.add_argument("--max-endos", type=_positive_int, default=DEFAULT_MAX_ENDOS,
+                        help="endomorphism walk budget")
     search = sub.add_parser("search", parents=[common])
     search.add_argument("spec")
     search.add_argument("--pool", default="default", choices=POOLS)

@@ -13,6 +13,7 @@ import re
 from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
+from math import prod
 
 from .algebra import (
     Algebra,
@@ -140,21 +141,31 @@ def _pair_vector(spec: GroupSpec, a: GroupElement, b: GroupElement) -> int:
     )
 
 
-def _a24_spec(rank: int, with_c4: bool, max_rank: int | None) -> GroupSpec:
-    limit = max_rank if max_rank is not None else (3 if with_c4 else 5)
-    if rank < 0 or rank > limit:
-        raise BudgetExceededError(f"rank {rank} outside 0..{limit}")
+def _within_witness_budget(twos: int, rest: int, budget: int = DEFAULT_WITNESS_MAX_ORDER) -> None:
+    """Refuse |G| = rest * 2^twos over the budget: every witness builder
+    refuses here. Past 64 factors it names |G| >= 2^twos, so a huge rank
+    builds no tuple or power."""
+    if twos > 64:
+        raise BudgetExceededError(f"|G| >= 2^{twos} exceeds budget {budget}")
+    if rest << twos > budget:
+        raise BudgetExceededError(f"|G| = {rest << twos} exceeds budget {budget}")
+
+
+def _a24_spec(rank: int, with_c4: bool, budget: int) -> GroupSpec:
+    if rank < 0:
+        raise ValueError(f"rank {rank} is negative")
+    _within_witness_budget(rank, 4 if with_c4 else 1, budget)
     return GroupSpec((2,) * rank + ((4,) if with_c4 else ()))
 
 
-def a24_ideal(rank: int, with_c4: bool, *, max_rank: int | None = None) -> Ideal:
+def a24_ideal(rank: int, with_c4: bool) -> Ideal:
     """The witness ideal for C2^rank (x C4): cross terms (1 + x_J)(1 + y^r),
     the pair family 1 + x_A + x_B + x_A x_B, and 1 + y + y^2 + y^3.
 
     Without the C4 factor only the pair family remains; its quotient has
-    unit group C2^rank and dimension rank + 1.
+    unit group C2^rank and dimension rank + 1. Refused over the witness budget.
     """
-    spec = _a24_spec(rank, with_c4, max_rank)
+    spec = _a24_spec(rank, with_c4, DEFAULT_WITNESS_MAX_ORDER)
     r = spec.rank
 
     def x_subset(subset: tuple[int, ...]) -> GroupElement:
@@ -180,18 +191,18 @@ def a24_ideal(rank: int, with_c4: bool, *, max_rank: int | None = None) -> Ideal
     return ideal_span(group_algebra(spec), gens)
 
 
-def star_ideal(rank: int, with_c4: bool, *, max_tuple_len: int = 4,
-               max_rank: int | None = None) -> Ideal:
+def star_ideal(rank: int, with_c4: bool) -> Ideal:
     """The ideal spanned by u_1*...*u_n + u_1 + ... + u_n + n + 1 over unit
-    tuples with at most one unit of order 4, for n up to max_tuple_len.
+    tuples with at most one unit of order 4, for n up to 4, over at most 32
+    elements (the 4-tuples over 64 elements would take minutes).
 
     Expected to coincide with a24_ideal at every rank; the equality is
     asserted computationally by the test suite rather than assumed.
     """
-    spec = _a24_spec(rank, with_c4, max_rank)
+    spec = _a24_spec(rank, with_c4, 32)
     els = elements(spec)
     gens: list[int] = []
-    for n in range(1, max_tuple_len + 1):
+    for n in range(1, 5):
         parity = (n + 1) & 1
         for combo in itertools.combinations_with_replacement(els, n):
             if sum(1 for u in combo if element_order(spec, u) == 4) > 1:
@@ -234,7 +245,7 @@ def chain_ring_ideals(k: int) -> tuple[Ideal, ...]:
     return ideals
 
 
-def construct_witness(g: GroupSpec, *, max_order: int = DEFAULT_WITNESS_MAX_ORDER) -> QuotientRing:
+def construct_witness(g: GroupSpec) -> QuotientRing:
     """A quotient ring that fully realizes g, for positive finite verdicts.
 
     F2[W'] modulo a24_ideal, where W' is the W x C4 part of g. With a C3
@@ -249,14 +260,15 @@ def construct_witness(g: GroupSpec, *, max_order: int = DEFAULT_WITNESS_MAX_ORDE
     c = verdict.group
     if not c.is_finite:
         raise InfiniteGroupError(f"witness for {c} is symbolic-only")
-    order_within(c, max_order, f"budget {max_order}")
-
-    twos = [prime_power_split(d).get(2, 0) for d in c.finite_orders]
-    rank, with_c4 = twos.count(1), 2 in twos
-    ideal = a24_ideal(rank, with_c4, max_rank=rank)
+    # a positive finite group is C2^rank, times C4 and C3 at most once each
+    rank = sum(d % 4 == 2 for d in c.finite_orders)
+    with_c4 = any(d % 4 == 0 for d in c.finite_orders)
+    with_c3 = any(d % 3 == 0 for d in c.finite_orders)
+    _within_witness_budget(rank, (4 if with_c4 else 1) * (3 if with_c3 else 1))
+    ideal = a24_ideal(rank, with_c4)
     w = ideal.ambient.group
     w_ring = quotient(w, ideal)
-    if c.torsion_order % 3:
+    if not with_c3:
         return w_ring
     comps = [w_ring.quotient_algebra, field_algebra(2)]
     gens = [tuple(int(t == j) for t in range(w.rank)) for j in range(w.rank)]
@@ -266,16 +278,22 @@ def construct_witness(g: GroupSpec, *, max_order: int = DEFAULT_WITNESS_MAX_ORDE
 
 
 _RECIPE_RE = re.compile(r"([A-Za-z0-9]+)\(([^()]*)\)")
+_RECIPE_KEYS = {"a24": ("rank", "c4"), "a24xC3": ("rank", "c4"), "sumc2": ("rank", "c4"),
+                "chain": ("k", "j")}
 
 
-def _recipe_args(raw: str) -> dict[str, str]:
+def _recipe_args(name: str, raw: str) -> dict[str, str]:
     args: dict[str, str] = {}
     if raw.strip():
         for item in raw.split(","):
-            key, _, value = item.partition("=")
+            key, _, value = map(str.strip, item.partition("="))
             if not value:
                 raise GroupSyntaxError(f"bad recipe argument {item!r}")
-            args[key.strip()] = value.strip()
+            if key not in _RECIPE_KEYS[name]:
+                raise GroupSyntaxError(f"recipe {name} takes no argument {key!r}")
+            if key in args:
+                raise GroupSyntaxError(f"recipe argument {key!r} is given twice")
+            args[key] = value
     return args
 
 
@@ -291,29 +309,10 @@ def ring_from_recipe(recipe: str) -> tuple[GroupSpec, QuotientRing]:
     """Materialize a witness ring from its machine-readable recipe string,
     e.g. "a24(rank=2,c4=true)", "a24xC3(rank=1,c4=false)", "chain(k=2,j=3)"."""
     m = _RECIPE_RE.fullmatch(recipe.strip())
-    if m is None:
+    if m is None or m.group(1) not in _RECIPE_KEYS:
         raise GroupSyntaxError(f"unknown recipe string {recipe!r}")
-    name, args = m.group(1), _recipe_args(m.group(2))
+    name, args = m.group(1), _recipe_args(m.group(1), m.group(2))
     try:
-        if name in ("a24", "a24xC3", "sumc2"):
-            rank = _int_arg(args, "rank")
-            c4 = args.get("c4", "false")
-            if c4 not in ("true", "false"):
-                raise GroupSyntaxError(f"recipe argument c4={c4!r} must be true or false")
-            with_c4 = c4 == "true"
-            if rank < 0:
-                raise GroupSyntaxError(f"recipe argument rank={rank} is negative")
-            rest = (4 if with_c4 else 1) * (3 if name == "a24xC3" else 1)
-            budget = DEFAULT_WITNESS_MAX_ORDER
-            # checked on the exponent, so a huge rank builds no tuple or power
-            if rank >= budget.bit_length() or rest << rank > budget:
-                factor = f" * {rest}" if rest > 1 else ""
-                raise BudgetExceededError(f"|G| = 2^{rank}{factor} exceeds budget {budget}")
-            orders = (2,) * rank + ((4,) if with_c4 else ())
-            if name == "a24xC3":
-                orders = orders + (3,)
-            spec = canonicalize(GroupSpec(orders))
-            return spec, construct_witness(spec)
         if name == "chain":
             k, j = _int_arg(args, "k"), _int_arg(args, "j")
             if k < 1:
@@ -323,9 +322,18 @@ def ring_from_recipe(recipe: str) -> tuple[GroupSpec, QuotientRing]:
                 raise GroupSyntaxError(f"chain power j={j} outside 1..{2**k}")
             spec = GroupSpec((2**k,))
             return spec, quotient(spec, ideals[j])
+        rank = _int_arg(args, "rank")
     except KeyError as exc:
         raise GroupSyntaxError(f"recipe {recipe!r} is missing argument {exc}") from exc
-    raise GroupSyntaxError(f"unknown recipe string {recipe!r}")
+    c4 = args.get("c4", "false")
+    if c4 not in ("true", "false"):
+        raise GroupSyntaxError(f"recipe argument c4={c4!r} must be true or false")
+    if rank < 0:
+        raise GroupSyntaxError(f"recipe argument rank={rank} is negative")
+    rest = ((4,) if c4 == "true" else ()) + ((3,) if name == "a24xC3" else ())
+    _within_witness_budget(rank, prod(rest))  # before the tuple of rank factors is built
+    spec = canonicalize(GroupSpec((2,) * rank + rest))
+    return spec, construct_witness(spec)
 
 
 def _default_pool(spec: GroupSpec, amb: Algebra) -> list[int]:
@@ -439,9 +447,11 @@ def bounded_ideal_search(g: GroupSpec, pool: str = "default", budget: int = 256)
     pool on cyclic 2-groups, where the ideal list is provably complete.
 
     A quotient realizes g when its units are exactly the image of G, which
-    unit_to_group decides by counting them. The bound |G| <= 16 keeps
+    units_are_group decides by counting them. The bound |G| <= 16 keeps
     |End(G)| <= 65,536 inside the default endomorphism budget.
     """
+    if budget < 1:
+        raise ValueError(f"budget {budget} is below 1")
     c = canonicalize(g)
     if not c.is_finite:
         raise InfiniteGroupError("searches need a finite group")
@@ -474,7 +484,7 @@ def bounded_ideal_search(g: GroupSpec, pool: str = "default", budget: int = 256)
         # No check of the unit group's invariants is needed: the projection
         # is a ring map, so on G it is a group homomorphism into the units,
         # and one-to-one and onto them it makes them isomorphic to G.
-        if q.unit_to_group is None:
+        if not q.units_are_group:
             continue
         realizing += 1
         fully += fully_realizes(q, c).fully_realizes

@@ -231,7 +231,7 @@ def _within_budget(total: int, max_endos: int) -> int:
     return total
 
 
-def ring_endos(q: QuotientRing, *, max_endos: int = DEFAULT_MAX_ENDOS) -> list[GroupHom]:
+def ring_endos(q: QuotientRing) -> list[GroupHom]:
     """The group endomorphisms of G that lift to ring endomorphisms of q, in
     enumeration order.
 
@@ -239,10 +239,10 @@ def ring_endos(q: QuotientRing, *, max_endos: int = DEFAULT_MAX_ENDOS) -> list[G
     returned list is in bijection with End(q).
     """
     g = q.parent_group
-    if q.unit_to_group is None:
+    if not q.units_are_group:
         raise UnitGroupMismatchError("the unit group is not the image of the presenting group")
     lifts = _lift_check(g, q.ideal)
-    _within_budget(endo_count(g), max_endos)
+    _within_budget(endo_count(g), DEFAULT_MAX_ENDOS)
     return [GroupHom(g, g, images)
             for images in itertools.product(*image_candidates(g)) if lifts(images)]
 
@@ -261,7 +261,7 @@ def fully_realizes(q: QuotientRing, expected: GroupSpec,
     total = endo_count(g)
     realized, first_fail = count_preserving(g, q.ideal, total, max_endos=max_endos)
     expected_c = canonicalize(expected)
-    unit_ok = q.unit_to_group is not None and canonicalize(g) == expected_c
+    unit_ok = q.units_are_group and canonicalize(g) == expected_c
     fully = unit_ok and realized == total
     witness = None
     if unit_ok and not fully and first_fail is not None:

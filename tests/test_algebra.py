@@ -465,7 +465,7 @@ def test_unit_embedding_rejects_bad_orders():
 def test_present_over_recovers_group_algebra():
     q = present_over(C3, group_algebra(C3), [0b010])
     assert q.dim == 3
-    assert q.unit_to_group is not None
+    assert q.units_are_group
 
 
 def test_subring_generated():

@@ -239,12 +239,27 @@ def test_verify_recipe_for_another_group(capsys):
 
 @pytest.mark.parametrize("flag,argv", [
     ("--max-endos", ["verify", "C2^4", "--max-endos", "-1"]),
-    ("--max-endos", ["--max-endos", "0", "verify", "C2^4"]),
+    ("--max-endos", ["verify", "--max-endos", "0", "C2^4"]),
     ("--max-order", ["selftest", "--max-order", "-3"]),
 ])
 def test_budget_flags_below_one(capsys, flag, argv):
     assert run(argv) == EXIT_USAGE
     assert f"argument {flag}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    ["classify", "C2", "--max-endos", "5"],
+    ["construct", "C2", "--max-endos", "5"],
+    ["endos", "C2", "--max-endos", "5"],
+    ["search", "C2", "--max-endos", "5"],
+    ["selftest", "--max-endos", "5"],
+    ["--max-endos", "5", "verify", "C2"],
+])
+def test_max_endos_is_a_verify_option(capsys, argv):
+    # only verify walks End(G), so no other command, and no flag before the
+    # subcommand, takes the walk budget
+    assert run(argv) == EXIT_USAGE
+    assert "error:" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("argv", [

@@ -124,8 +124,9 @@ def test_sumc2_subset_identity_rank_3():
 
 
 def test_sumc2_budget():
-    with pytest.raises(BudgetExceededError):
-        a24_ideal(6, False)
+    # C2^7 is the first elementary abelian group over the witness budget 64
+    with pytest.raises(BudgetExceededError, match="budget 64"):
+        a24_ideal(7, False)
 
 
 def test_a24_examples():
@@ -140,8 +141,9 @@ def test_a24_examples():
 
 
 def test_a24_budget():
-    with pytest.raises(BudgetExceededError):
-        a24_ideal(4, True)
+    # C2^5 x C4 is the first over the witness budget 64
+    with pytest.raises(BudgetExceededError, match="budget 64"):
+        a24_ideal(5, True)
 
 
 def test_star_example_generator():
@@ -160,6 +162,13 @@ def test_star_equals_a24(rank, with_c4):
 
 def test_star_without_c4_is_sumc2_rank_3():
     assert star_ideal(3, False).rref_basis == a24_ideal(3, False).rref_basis
+
+
+def test_star_budget():
+    # its 4-tuples over 64 elements would take minutes, so it stops at 32
+    for rank, with_c4 in ((6, False), (4, True)):
+        with pytest.raises(BudgetExceededError, match="budget 32"):
+            star_ideal(rank, with_c4)
 
 
 # --- the product construction ------------------------------------------------
@@ -301,7 +310,7 @@ def test_c3_witness_is_the_kernel_onto_the_product(text):
     witness = construct_witness(g)
     assert witness.parent_group == ambient
     assert witness.ideal.rref_basis == glued.rref_basis
-    assert witness.unit_to_group is not None
+    assert witness.units_are_group
 
 
 # --- chain rings --------------------------------------------------------------
@@ -428,7 +437,7 @@ def test_construct_witness_rejections():
     with pytest.raises(InfiniteGroupError):
         construct_witness(GroupSpec((2,), infinite_rank=1))
     with pytest.raises(BudgetExceededError):
-        construct_witness(GroupSpec((2,) * 7), max_order=64)
+        construct_witness(GroupSpec((2,) * 7))
 
 
 def test_ring_from_recipe():
@@ -440,9 +449,17 @@ def test_ring_from_recipe():
     assert q.unit_group_invariants() == (4,)
     spec, q = ring_from_recipe("a24xC3(rank=1,c4=false)")
     assert spec == GroupSpec((6,))
-    for bad in ("bogus(1)", "a24(rank=two)", "chain(k=2,j=9)", "a24"):
+    for bad in ("bogus(1)", "a24(rank=two)", "chain(k=2,j=9)", "a24",
+                "a24(rank=1,extra=3)", "a24(rank=1,rank=2)", "chain(k=2,j=3,rank=1)"):
         with pytest.raises((GroupSyntaxError, ValueError)):
             ring_from_recipe(bad)
+    # unknown and repeated keys are named
+    with pytest.raises(GroupSyntaxError, match="'extra'"):
+        ring_from_recipe("a24(rank=1,extra=3)")
+    with pytest.raises(GroupSyntaxError, match="'rank' is given twice"):
+        ring_from_recipe("a24(rank=1,rank=2)")
+    with pytest.raises(GroupSyntaxError, match="'rank'"):
+        ring_from_recipe("chain(k=2,j=3,rank=1)")
 
 
 def test_classify_recipes_materialize():
@@ -485,6 +502,11 @@ def test_search_rejects_bad_input():
         bounded_ideal_search(GroupSpec((4,)), pool="nonsense")
     with pytest.raises(GroupSyntaxError):
         bounded_ideal_search(GroupSpec((3, 3)), pool="chain")
+    # a slice [:-1] would examine 4 of C4's 5 chain ideals; fieldprod yields one first
+    for pool in ("chain", "fieldprod", "default"):
+        for budget in (0, -1):
+            with pytest.raises(ValueError, match="below 1"):
+                bounded_ideal_search(GroupSpec((4,)), pool=pool, budget=budget)
 
 
 def test_spans_and_quotients_are_not_revalidated(monkeypatch):
@@ -582,7 +604,7 @@ def test_search_at_a_large_budget(text, examined, realizing):
 
 @pytest.mark.parametrize("text,realizable", [("C3 x C3", True), ("C2 x C4", True), ("C8", False)])
 def test_unit_to_group_is_the_search_unit_check(text, realizable):
-    # over the proper quotients the search meets, unit_to_group holds exactly
+    # over the proper quotients the search meets, units_are_group holds exactly
     # when the units are the image of G, one element each; then the unit
     # group's invariants are G's, the implication the search relies on
     g = parse_group(text)
@@ -596,7 +618,7 @@ def test_unit_to_group_is_the_search_unit_check(text, realizable):
         q = quotient(g, ideal)
         image = set(q.group_image)
         exact = image == units(q.quotient_algebra) and len(image) == g.torsion_order
-        assert (q.unit_to_group is not None) == exact
+        assert q.units_are_group == exact
         if exact:
             hits += 1
             assert q.unit_group_invariants() == g.finite_orders

@@ -163,7 +163,7 @@ def test_ring_endos_requires_unit_group_match():
     # F2[C2 x C2] has 8 units but the group has only 4 elements
     c22 = GroupSpec((2, 2))
     q = quotient(c22, ideal_span(group_algebra(c22), []))
-    assert q.unit_to_group is None
+    assert not q.units_are_group
     with pytest.raises(UnitGroupMismatchError):
         ring_endos(q)
 
