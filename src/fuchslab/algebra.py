@@ -1,7 +1,8 @@
 """Finite-dimensional GF(2) algebras and their unit groups.
 
-An Algebra is a basis, a multiplication table of GF(2) vectors, and the
-vector representing 1. Elements are bit-packed ints (see gf2). Group
+An Algebra is its multiplication table of GF(2) vectors, the vector
+representing 1, and, for a group algebra, the group whose elements index
+the basis. Elements are bit-packed ints (see gf2). Group
 algebras, finite fields and products are built here, together with ideals
 in canonical RREF form, quotients, rings generated by unit images
 (present_over), unit detection, unit counting and unit-group structure.
@@ -23,12 +24,7 @@ from .errors import (
     OrderMismatchError,
     ZeroRingError,
 )
-from .groups import (
-    GroupElement,
-    GroupSpec,
-    canonicalize,
-    elements,
-)
+from .groups import GroupSpec, canonicalize
 
 AlgebraElement = int
 
@@ -57,8 +53,6 @@ class Algebra:
     whose table must be its group's Cayley table.
     """
 
-    dim: int
-    basis_labels: tuple[str, ...]
     mult_table: tuple[tuple[int, ...], ...]
     one_vector: int
     group: GroupSpec | None = None  # the group whose elements() index the basis
@@ -66,8 +60,6 @@ class Algebra:
     def __post_init__(self) -> None:
         if self.dim < 1:
             raise ValueError("algebras here are unital, so dim >= 1")
-        if len(self.basis_labels) != self.dim or len(self.mult_table) != self.dim:
-            raise ValueError("basis labels and multiplication table must match dim")
         mask = (1 << self.dim) - 1
         if any(len(row) != self.dim for row in self.mult_table):
             raise ValueError("multiplication table must be dim x dim")
@@ -87,6 +79,10 @@ class Algebra:
                 raise ValueError("the identity of a group algebra is basis vector 0")
         else:
             self._validate_axioms()
+
+    @property
+    def dim(self) -> int:
+        return len(self.mult_table)
 
     def _validate_axioms(self) -> None:
         table = self.mult_table
@@ -126,20 +122,6 @@ class Algebra:
             n >>= 1
         return result
 
-    def element_label(self, e: AlgebraElement) -> str:
-        if e == 0:
-            return "0"
-        return " + ".join(self.basis_labels[i] for i in gf2.bits(e))
-
-
-def _monomial_label(names: list[str], exps: GroupElement) -> str:
-    parts = [
-        name if e == 1 else f"{name}^{e}"
-        for name, e in zip(names, exps)
-        if e
-    ]
-    return "*".join(parts) if parts else "1"
-
 
 def _cayley_table(g: GroupSpec) -> tuple[tuple[int, ...], ...]:
     """Entry (i, j) is the basis vector of the product of the i-th and j-th
@@ -165,9 +147,7 @@ def group_algebra(g: GroupSpec) -> Algebra:
     """
     if not g.is_finite:
         raise InfiniteGroupError(f"group algebra of {g} is not materialized")
-    names = ["x"] if g.rank == 1 else [f"x{j + 1}" for j in range(g.rank)]
-    labels = tuple(_monomial_label(names, e) for e in elements(g))
-    return Algebra(len(labels), labels, _cayley_table(g), 1, group=g)
+    return Algebra(_cayley_table(g), 1, group=g)
 
 
 def _poly_mod(a: int, b: int) -> int:
@@ -197,11 +177,9 @@ def field_algebra(k: int) -> Algebra:
         if nxt >> k:
             nxt = (nxt ^ poly) & mask
         powers.append(nxt)
-    labels = tuple("1" if i == 0 else ("t" if i == 1 else f"t^{i}") for i in range(k))
     table = tuple(tuple(powers[i + j] for j in range(k)) for i in range(k))
     # F2[t]/(poly) with poly irreducible is a field, so the axioms hold
-    return _trusted(Algebra, dim=k, basis_labels=labels, mult_table=table,
-                    one_vector=1, group=None)
+    return _trusted(Algebra, mult_table=table, one_vector=1, group=None)
 
 
 def product_algebra(factors: list[Algebra] | tuple[Algebra, ...]) -> Algebra:
@@ -212,19 +190,17 @@ def product_algebra(factors: list[Algebra] | tuple[Algebra, ...]) -> Algebra:
         return factors[0]
     dim = sum(f.dim for f in factors)
     offsets = list(itertools.accumulate((f.dim for f in factors), initial=0))
-    labels: list[str] = []
     table = [[0] * dim for _ in range(dim)]
     one = 0
     for t, f in enumerate(factors):
         o = offsets[t]
-        labels.extend(f"{t}:{lab}" for lab in f.basis_labels)
         one |= f.one_vector << o
         for i in range(f.dim):
             for j in range(f.dim):
                 table[o + i][o + j] = f.mult_table[i][j] << o
     # a product of valid algebras is valid, so the axioms are not checked again
-    return _trusted(Algebra, dim=dim, basis_labels=tuple(labels),
-                    mult_table=tuple(tuple(row) for row in table), one_vector=one, group=None)
+    return _trusted(Algebra, mult_table=tuple(tuple(row) for row in table),
+                    one_vector=one, group=None)
 
 
 def product_element(factors: list[Algebra] | tuple[Algebra, ...], components: list[int]) -> AlgebraElement:
@@ -330,15 +306,16 @@ def find_inverse(a: Algebra, e: AlgebraElement) -> AlgebraElement | None:
 
 
 def multiplicative_order(a: Algebra, u: AlgebraElement) -> int:
-    """Order of a unit u in the unit group."""
-    k = 1
-    cur = _element_of(a, u)
-    limit = 1 << a.dim
+    """Order of a unit u in the unit group.
+
+    A non-unit is refused by one rank test: its powers never reach 1.
+    """
+    if not is_unit(a, u):
+        raise FuchslabError(f"{u:#b} is not a unit")
+    k, cur = 1, u
     while cur != a.one_vector:
         cur = a.mul(cur, u)
         k += 1
-        if k > limit:
-            raise FuchslabError(f"{a.element_label(u)} is not a unit")
     return k
 
 
@@ -458,9 +435,7 @@ class QuotientRing:
         # a quotient of a commutative unital algebra by a proper ideal
         # satisfies the ring axioms, so they are not checked again
         self.quotient_algebra = _trusted(
-            Algebra, dim=len(self._nonpivot),
-            basis_labels=tuple(amb.basis_labels[c] for c in self._nonpivot),
-            mult_table=table, one_vector=self.project(amb.one_vector), group=None,
+            Algebra, mult_table=table, one_vector=self.project(amb.one_vector), group=None,
         )
 
     def project(self, v: AlgebraElement) -> AlgebraElement:
@@ -513,9 +488,7 @@ def unit_embedding_basis(g: GroupSpec, target: Algebra,
         if u < 0 or u >> target.dim:
             raise OrderMismatchError(f"image {u:#b} lies outside the dim-{target.dim} target")
         if target.power(u, d) != target.one_vector:
-            raise OrderMismatchError(
-                f"image {target.element_label(u)} is not a unit of order dividing {d}"
-            )
+            raise OrderMismatchError(f"image {u:#b} is not a unit of order dividing {d}")
     # elements(g x C_d) lists (e, 0), (e, 1), ..., (e, d - 1) for each e of g in turn
     elem_images = [target.one_vector]
     for d, u in zip(g.finite_orders, images):

@@ -278,8 +278,7 @@ def construct_witness(g: GroupSpec) -> QuotientRing:
 
 
 _RECIPE_RE = re.compile(r"([A-Za-z0-9]+)\(([^()]*)\)")
-_RECIPE_KEYS = {"a24": ("rank", "c4"), "a24xC3": ("rank", "c4"), "sumc2": ("rank", "c4"),
-                "chain": ("k", "j")}
+_RECIPE_KEYS = {"a24": ("rank", "c4"), "a24xC3": ("rank", "c4"), "chain": ("k", "j")}
 
 
 def _recipe_args(name: str, raw: str) -> dict[str, str]:

@@ -3,12 +3,14 @@
 import random
 from functools import lru_cache
 from math import prod
+from unittest import mock
 
 import pytest
 
 from fuchslab import (
     Algebra,
     BudgetExceededError,
+    FuchslabError,
     GroupSpec,
     Ideal,
     OrderMismatchError,
@@ -59,7 +61,6 @@ def test_group_algebra_dims():
 def test_group_algebra_identity_is_basis_zero():
     a = group_algebra(C4)
     assert a.one_vector == 1
-    assert a.basis_labels[0] == "1"
     for j in range(a.dim):
         assert a.mul(1, 1 << j) == 1 << j
 
@@ -152,7 +153,7 @@ def test_trusted_builds_pass_the_public_checks():
             Ideal(a, ideal.rref_basis)
             if not ideal.contains(a.one_vector):
                 qa = quotient(g, ideal).quotient_algebra
-                Algebra(qa.dim, qa.basis_labels, qa.mult_table, qa.one_vector)
+                Algebra(qa.mult_table, qa.one_vector)
     fields = [product_algebra([field_algebra(1), field_algebra(2)]), field_algebra(3)]
     for a in fields + _non_group_non_field_algebras():
         for _ in range(16):
@@ -180,13 +181,13 @@ def test_trusted_builds_pass_the_public_checks():
     # field_algebra skips the axiom check: F2[t]/(p) with p irreducible is a field
     for k in range(1, 9):
         f = field_algebra(k)
-        Algebra(f.dim, f.basis_labels, f.mult_table, f.one_vector)
+        Algebra(f.mult_table, f.one_vector)
         assert unit_count(f) == (1 << k) - 1
     # product_algebra skips the axiom check, which its products must pass
     for parts in (fields, [group_algebra(C4), field_algebra(3)],
                   [construct_witness(parse_group("C2 x C4")).quotient_algebra, field_algebra(2)]):
         prod_alg = product_algebra(parts)
-        Algebra(prod_alg.dim, prod_alg.basis_labels, prod_alg.mult_table, prod_alg.one_vector)
+        Algebra(prod_alg.mult_table, prod_alg.one_vector)
 
 
 def test_ideal_sum_of_principal_ideals_is_the_span():
@@ -378,6 +379,17 @@ def test_element_functions_refuse_an_element_outside_the_algebra():
                 call()
 
 
+def test_multiplicative_order_refuses_a_non_unit_by_rank():
+    # the idempotent (1, 0, ..., 0) of F2^40 is refused after the 40 products
+    # of one rank test, not after walking 2^40 powers
+    f2_40 = product_algebra([field_algebra(1)] * 40)
+    with mock.patch.object(Algebra, "mul", autospec=True, side_effect=Algebra.mul) as mul:
+        with pytest.raises(FuchslabError, match="0b1 is not a unit"):
+            multiplicative_order(f2_40, 0b1)
+    assert mul.call_count <= 40
+    assert multiplicative_order(group_algebra(GroupSpec((12,))), 0b10) == 12
+
+
 def test_unit_group_invariants():
     assert unit_group_invariants(group_algebra(C4)) == (2, 4)
     assert unit_group_invariants(group_algebra(GroupSpec((2, 2)))) == (2, 2, 2)
@@ -450,9 +462,9 @@ def test_unit_embedding_kernel_examples():
 
 def test_unit_embedding_rejects_bad_orders():
     f4 = field_algebra(2)
-    with pytest.raises(OrderMismatchError):
+    with pytest.raises(OrderMismatchError, match="image 0b10 is not a unit of order dividing 2"):
         present_over(C2, f4, [0b10])  # t has order 3, not dividing 2
-    with pytest.raises(OrderMismatchError):
+    with pytest.raises(OrderMismatchError, match="image 0b11"):
         present_over(C2, group_algebra(C2), [0b11])  # 1 + x is not a unit
     with pytest.raises(OrderMismatchError, match="0b1010"):
         present_over(C3, field_algebra(2), [0b1010])  # wider than the dim-2 target
@@ -489,25 +501,25 @@ def test_subring_generated():
 
 def test_algebra_validation_rejects_garbage():
     with pytest.raises(ValueError):
-        Algebra(2, ("1", "x"), ((1, 2), (1, 2)), 1)  # x*1 = 1 breaks the identity
+        Algebra(((1, 2), (1, 2)), 1)  # x*1 = 1 breaks the identity
     with pytest.raises(ValueError):
         # commutative with identity, but (a*a)*b = b*b = b while a*(a*b) = a
-        Algebra(3, ("1", "a", "b"), ((1, 2, 4), (2, 4, 1), (4, 1, 4)), 1)
+        Algebra(((1, 2, 4), (2, 4, 1), (4, 1, 4)), 1)
     with pytest.raises(ValueError):
-        Algebra(1, ("1",), ((1,),), 0)  # zero cannot be the identity
+        Algebra(((1,),), 0)  # zero cannot be the identity
     with pytest.raises(ValueError):
-        Algebra(1, ("1",), ((1,),), 1, group=GroupSpec((2,)))  # C2 needs two basis vectors
+        Algebra(((1,),), 1, group=GroupSpec((2,)))  # C2 needs two basis vectors
     f4f4 = product_algebra([field_algebra(2), field_algebra(2)])
     with pytest.raises(ValueError, match="Cayley table"):
         # a valid ring of dim 4, but no group algebra: a label would make
         # the engine read its entries as group products
-        Algebra(4, f4f4.basis_labels, f4f4.mult_table, f4f4.one_vector, group=GroupSpec((2, 2)))
+        Algebra(f4f4.mult_table, f4f4.one_vector, group=GroupSpec((2, 2)))
     c4 = group_algebra(C4)
     with pytest.raises(ValueError, match="Cayley table"):
-        Algebra(4, c4.basis_labels, c4.mult_table, 1, group=GroupSpec((2, 2)))  # C4's table, C2^2's label
+        Algebra(c4.mult_table, 1, group=GroupSpec((2, 2)))  # C4's table, C2^2's label
     with pytest.raises(ValueError, match="identity"):
         # C2's Cayley table, but with x as its identity
-        Algebra(2, ("1", "x"), _cayley_table(C2), 2, group=C2)
+        Algebra(_cayley_table(C2), 2, group=C2)
     # above dim 64 the axioms are checked too: b_i * b_j = b_{1 + (i + 2j) mod 64}
     # for i, j >= 1 is neither commutative nor associative
     dim = 65
@@ -517,7 +529,7 @@ def test_algebra_validation_rejects_garbage():
         for i in range(dim)
     )
     with pytest.raises(ValueError, match="commutative"):
-        Algebra(dim, tuple(f"b{i}" for i in range(dim)), table, 1)
+        Algebra(table, 1)
     with pytest.raises(ValueError, match="outside"):
         Ideal(group_algebra(C2), (0b100,))  # bit 2 is no element of F2[C2]
     with pytest.raises(ValueError, match="outside"):

@@ -224,7 +224,7 @@ def test_recipe_negative_rank(capsys):
 
 def test_recipe_rank_over_witness_budget(capsys):
     # refused before a tuple of 10^9 factor orders is built
-    for name in ("a24", "a24xC3", "sumc2"):
+    for name in ("a24", "a24xC3"):
         recipe = f"{name}(rank=1000000000)"
         code, err = _one_line_error(capsys, ["verify", "C1", "--ring", recipe])
         assert code == EXIT_BUDGET

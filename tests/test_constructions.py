@@ -450,7 +450,8 @@ def test_ring_from_recipe():
     spec, q = ring_from_recipe("a24xC3(rank=1,c4=false)")
     assert spec == GroupSpec((6,))
     for bad in ("bogus(1)", "a24(rank=two)", "chain(k=2,j=9)", "a24",
-                "a24(rank=1,extra=3)", "a24(rank=1,rank=2)", "chain(k=2,j=3,rank=1)"):
+                "a24(rank=1,extra=3)", "a24(rank=1,rank=2)", "chain(k=2,j=3,rank=1)",
+                "sumc2(rank=2)"):
         with pytest.raises((GroupSyntaxError, ValueError)):
             ring_from_recipe(bad)
     # unknown and repeated keys are named
