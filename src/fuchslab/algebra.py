@@ -24,7 +24,7 @@ from .errors import (
     OrderMismatchError,
     ZeroRingError,
 )
-from .groups import GroupSpec, canonicalize
+from .groups import GroupSpec, canonicalize, element_order, elements
 
 AlgebraElement = int
 
@@ -265,12 +265,17 @@ def ideal_sum(ideals: list[Ideal] | tuple[Ideal, ...]) -> Ideal:
     """The sum of one or more ideals of the same algebra.
 
     A sum of ideals is an ideal, so the RREF span of their bases needs no
-    multiplication closure and no revalidation.
+    multiplication closure and no revalidation. The largest basis is already
+    in RREF form, so the others are inserted into it; when they add nothing,
+    the sum is that ideal.
     """
     if not ideals or any(i.ambient is not ideals[0].ambient for i in ideals):
         raise ValueError("ideal_sum needs one or more ideals of the same algebra")
-    span = gf2.rref(v for i in ideals for v in i.rref_basis)
-    return _trusted(Ideal, ambient=ideals[0].ambient, rref_basis=span)
+    big = max(ideals, key=lambda i: i.dim)
+    span = gf2.rref((v for i in ideals if i is not big for v in i.rref_basis), big.rref_basis)
+    if len(span) == big.dim:
+        return big
+    return _trusted(Ideal, ambient=big.ambient, rref_basis=span)
 
 
 def _element_of(a: Algebra, e: AlgebraElement) -> AlgebraElement:
@@ -368,6 +373,8 @@ def unit_count(a: Algebra) -> int:
 
     a is the product of local rings a*e whose non-units form N*e (see
     _local_decomposition), so |a^x| = prod_e (2^dim(a*e) - 2^dim(N*e)).
+    It works on any algebra; for a quotient of a group algebra the tests
+    hold it against _block_unit_count, which units_are_group uses.
     """
     return prod((1 << d) - (1 << n) for d, n in _local_decomposition(a)[1])
 
@@ -405,12 +412,84 @@ def augmentation(g: GroupSpec, e: AlgebraElement) -> int:
     return e.bit_count() & 1
 
 
+@lru_cache(maxsize=64)
+def _blocks(g: GroupSpec) -> tuple[tuple[tuple[int, ...], int], ...]:
+    """For each primitive idempotent e of F2[g], the products e*b over the
+    basis b, and f_e = dim F2[H]e for the odd part H of g.
+
+    The idempotents of F2[H] are the x with x^2 = x. Squaring is a bijection
+    of the odd-order group H, and x^2 is x with its coefficients moved along
+    it, so the idempotents are the sums of squaring orbits of H. Splitting 1
+    by them (each part p into p*f and p + p*f, zeros dropped) leaves the
+    primitive ones, the atoms of that Boolean ring; see _block_unit_count
+    for why they are primitive in F2[g] too.
+    """
+    a = group_algebra(g)
+    odd = [i for i, x in enumerate(elements(g)) if element_order(g, x) % 2]
+    square = [row[i].bit_length() - 1 for i, row in enumerate(a.mult_table)]
+    seen = 0
+    parts = [a.one_vector]
+    for h in odd:
+        orbit = 0
+        while not orbit >> h & 1:
+            orbit |= 1 << h
+            h = square[h]
+        if orbit & seen:
+            continue
+        seen |= orbit
+        parts = [q for p in parts for q in (a.mul(p, orbit), a.mul(p, orbit) ^ p) if q]
+    return tuple((tuple(a.mul(e, 1 << b) for b in range(a.dim)),
+                  len(gf2.rref(a.mul(e, 1 << h) for h in odd))) for e in parts)
+
+
+def _block_unit_count(ideal: Ideal) -> int:
+    """|(F2[G]/I)^x| for an ideal I of a group algebra, read off the blocks
+    of F2[G], which are computed once per group.
+
+    Write G = P x H with P the 2-part and H the odd part. F2[H] has no
+    nilpotents (|H| is odd), so it is the product of the fields F2[H]e over
+    its primitive idempotents e, with 2^f_e elements each. F2[G]e =
+    F2[P] (x) F2[H]e is the group ring of P over that field: its
+    augmentation ideal is nilpotent, as (1 + p)^(2^k) = 1 + p^(2^k) = 0 for
+    p of order 2^k, and the quotient by it is the field. So F2[G]e is local
+    with residue field F_(2^f_e) and dimension |P|*f_e, and the e are the
+    primitive idempotents of F2[G]. An ideal splits as I = sum of Ie, and
+    F2[G]/I is the product of the F2[G]e/Ie. Each nonzero one, of dimension
+    r_e = |P|*f_e - dim Ie, is local with the same residue field, so its
+    non-units form a subspace of codimension f_e, and
+    |(F2[G]/I)^x| = prod over r_e > 0 of (2^r_e - 2^(r_e - f_e)).
+    dim Ie is the rank of e*v over the basis v of I. A 2-group, one whose
+    order is a power of 2, has one block, F2[G] itself, with f = 1, so the
+    count is 2^(dim R - 1) and no block is computed.
+
+    F2[C3]/(1 + x + x^2) is F4, with 3 units:
+
+    >>> _block_unit_count(ideal_span(group_algebra(GroupSpec((3,))), [0b111]))
+    3
+    """
+    amb = ideal.ambient
+    if amb.dim & (amb.dim - 1) == 0:
+        return 1 << (amb.dim - ideal.dim - 1)
+    blocks = _blocks(amb.group)
+    size = amb.dim // sum(f for _, f in blocks)  # |P|, as sum f_e = |H|
+    count = 1
+    for images, f in blocks:
+        rank = len(gf2.rref(reduce(xor, (images[b] for b in gf2.bits(v)), 0)
+                            for v in ideal.rref_basis))
+        r = size * f - rank
+        if r:
+            count *= (1 << r) - (1 << (r - f))
+    return count
+
+
 class QuotientRing:
     """F2[G]/I on the non-pivot coordinates of the ideal's RREF basis.
 
     The projection is a ring homomorphism; `group_image[i]` is the coset of
-    the i-th group element. `units_are_group`, computed on first use, tells
-    whether the units are exactly that image, one element of G each.
+    the i-th group element. `units_are_group` tells whether the units are
+    exactly that image, one element of G each. The image, the coordinates
+    and the multiplication table are built on first use: deciding
+    `units_are_group` needs no table.
     """
 
     def __init__(self, parent_group: GroupSpec, ideal: Ideal) -> None:
@@ -421,44 +500,54 @@ class QuotientRing:
             raise ZeroRingError("1 lies in the ideal; the quotient is the zero ring")
         self.parent_group = parent_group
         self.ideal = ideal
-        pivots = {gf2.lowest_bit(row) for row in ideal.rref_basis}
-        self._nonpivot = tuple(c for c in range(amb.dim) if c not in pivots)
-        self._coord_of = {c: i for i, c in enumerate(self._nonpivot)}
-        self.group_image = image = tuple(self.project(1 << i) for i in range(amb.dim))
-        # amb carries its group, so its table is the Cayley table: the product
-        # of two basis vectors is the basis vector at bit_length() - 1, and its
-        # coset is read off the image with no multiplication or reduction
-        rows = [amb.mult_table[c] for c in self._nonpivot]
-        table = tuple(
-            tuple(image[row[c].bit_length() - 1] for c in self._nonpivot) for row in rows
-        )
-        # a quotient of a commutative unital algebra by a proper ideal
-        # satisfies the ring axioms, so they are not checked again
-        self.quotient_algebra = _trusted(
-            Algebra, mult_table=table, one_vector=self.project(amb.one_vector), group=None,
-        )
+
+    @cached_property
+    def _coord_of(self) -> dict[int, int]:
+        """Quotient coordinate of each non-pivot column, in column order."""
+        pivots = {gf2.lowest_bit(row) for row in self.ideal.rref_basis}
+        columns = (c for c in range(self.ideal.ambient.dim) if c not in pivots)
+        return {c: i for i, c in enumerate(columns)}
 
     def project(self, v: AlgebraElement) -> AlgebraElement:
         """Coset of an ambient element, in quotient coordinates."""
-        reduced = self.ideal.reduce(v)
+        coord_of = self._coord_of
         acc = 0
-        for b in gf2.bits(reduced):
-            acc |= 1 << self._coord_of[b]
+        for b in gf2.bits(self.ideal.reduce(_element_of(self.ideal.ambient, v))):
+            acc |= 1 << coord_of[b]
         return acc
+
+    @cached_property
+    def group_image(self) -> tuple[AlgebraElement, ...]:
+        return tuple(self.project(1 << i) for i in range(self.ideal.ambient.dim))
+
+    @cached_property
+    def quotient_algebra(self) -> Algebra:
+        # the ambient carries its group, so its table is the Cayley table: the
+        # product of two basis vectors is the basis vector at bit_length() - 1,
+        # and its coset is read off the image with no multiplication or reduction
+        table = self.ideal.ambient.mult_table
+        image = self.group_image
+        columns = tuple(self._coord_of)
+        rows = tuple(tuple(image[table[r][c].bit_length() - 1] for c in columns)
+                     for r in columns)
+        # a quotient of a commutative unital algebra by a proper ideal
+        # satisfies the ring axioms, so they are not checked again
+        return _trusted(Algebra, mult_table=rows, one_vector=image[0], group=None)
 
     @property
     def dim(self) -> int:
-        return self.quotient_algebra.dim
+        return self.ideal.ambient.dim - self.ideal.dim
 
     @cached_property
     def units_are_group(self) -> bool:
         """The package's one test that the units are exactly the image of G.
 
-        The projection is a ring map, so it sends G into the units; one-to-one
-        on G, with unit_count equal to |G|, its image is all of them.
+        The projection is a ring map, so it sends G into the units; when
+        there are |G| units (_block_unit_count) and it is one-to-one on G,
+        its image is all of them. The count, the cheaper test, comes first.
         """
-        image = self.group_image
-        return len(set(image)) == len(image) == unit_count(self.quotient_algebra)
+        order = self.ideal.ambient.dim
+        return _block_unit_count(self.ideal) == order == len(set(self.group_image))
 
     def unit_group_invariants(self) -> tuple[int, ...]:
         return unit_group_invariants(self.quotient_algebra)

@@ -29,7 +29,7 @@ from .algebra import (
     quotient,
     unit_embedding_basis,
 )
-from .endo import fully_realizes
+from .endo import every_endo_lifts
 from .errors import (
     BudgetExceededError,
     FuchslabError,
@@ -446,7 +446,9 @@ def bounded_ideal_search(g: GroupSpec, pool: str = "default", budget: int = 256)
     pool on cyclic 2-groups, where the ideal list is provably complete.
 
     A quotient realizes g when its units are exactly the image of G, which
-    units_are_group decides by counting them. The bound |G| <= 16 keeps
+    units_are_group decides by counting them. It fully realizes g when
+    every endomorphism lifts, which every_endo_lifts decides with a walk
+    that stops at the first failure. The bound |G| <= 16 keeps
     |End(G)| <= 65,536 inside the default endomorphism budget.
     """
     if budget < 1:
@@ -486,7 +488,7 @@ def bounded_ideal_search(g: GroupSpec, pool: str = "default", budget: int = 256)
         if not q.units_are_group:
             continue
         realizing += 1
-        fully += fully_realizes(q, c).fully_realizes
+        fully += every_endo_lifts(ideal)
     exhaustive = pool == "chain" and chain_k is not None and budget >= 2**chain_k + 1
     return SearchReport(
         group=c,

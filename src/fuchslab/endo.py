@@ -7,13 +7,14 @@ submonoid of End(G), so a positive verdict needs only a monoid generating
 set of End(G); otherwise the engine walks End(G), filters by ideal
 preservation, and renders the verdict with a count and a first failure.
 One lift test, _lift_check, serves the generators, the walk,
-preserves_ideal and ring_endos.
+preserves_ideal and ring_endos; a search, which needs only whether every
+endomorphism lifts, stops the walk at the first failure.
 """
 
 from __future__ import annotations
 
 import itertools
-from collections.abc import Callable
+from collections.abc import Callable, Iterator
 from dataclasses import dataclass
 
 from . import gf2
@@ -211,12 +212,10 @@ def count_preserving(g: GroupSpec, ideal: Ideal, total: int,
     lifts = _lift_check(g, ideal)
     if not 0 <= total <= endo_count(g):
         raise ValueError(f"total {total} is outside 0..|End(G)| = {endo_count(g)}")
-    gens = _monoid_generators(g)
-    if gens is not None and all(lifts(s.images) for s in gens):
+    if _generators_lift(g, lifts):
         return total, None
-    walk = itertools.product(*image_candidates(g))
     realized, first_fail = 0, None
-    for t, images in enumerate(itertools.islice(walk, _within_budget(total, max_endos))):
+    for t, images in enumerate(_walk(g, total, max_endos)):
         if lifts(images):
             realized += 1
         elif first_fail is None:
@@ -224,11 +223,33 @@ def count_preserving(g: GroupSpec, ideal: Ideal, total: int,
     return realized, first_fail
 
 
-def _within_budget(total: int, max_endos: int) -> int:
-    """The number of endomorphisms to walk, refused over the walk budget."""
+def every_endo_lifts(ideal: Ideal) -> bool:
+    """True iff every endomorphism of G, the group of the ideal's group
+    algebra, preserves the ideal.
+
+    count_preserving's generators and walk, stopped at the first
+    endomorphism that does not lift: the verdict with no count.
+    """
+    g = ideal.ambient.group
+    if g is None:
+        raise ValueError("the ideal must live in a group algebra")
+    lifts = _lift_check(g, ideal)
+    return _generators_lift(g, lifts) or all(
+        map(lifts, _walk(g, endo_count(g), DEFAULT_MAX_ENDOS)))
+
+
+def _generators_lift(g: GroupSpec, lifts: Callable[[tuple[GroupElement, ...]], bool]) -> bool:
+    """True when g has monoid generators and each of them lifts."""
+    gens = _monoid_generators(g)
+    return gens is not None and all(lifts(s.images) for s in gens)
+
+
+def _walk(g: GroupSpec, total: int, max_endos: int) -> Iterator[tuple[GroupElement, ...]]:
+    """The generator images of the first `total` endomorphisms of g, in
+    enumeration order; refused when total exceeds the walk budget."""
     if total > max_endos:
         raise BudgetExceededError(f"|End(G)| = {total} exceeds the budget {max_endos}")
-    return total
+    return itertools.islice(itertools.product(*image_candidates(g)), total)
 
 
 def ring_endos(q: QuotientRing) -> list[GroupHom]:
@@ -242,9 +263,8 @@ def ring_endos(q: QuotientRing) -> list[GroupHom]:
     if not q.units_are_group:
         raise UnitGroupMismatchError("the unit group is not the image of the presenting group")
     lifts = _lift_check(g, q.ideal)
-    _within_budget(endo_count(g), DEFAULT_MAX_ENDOS)
     return [GroupHom(g, g, images)
-            for images in itertools.product(*image_candidates(g)) if lifts(images)]
+            for images in _walk(g, endo_count(g), DEFAULT_MAX_ENDOS) if lifts(images)]
 
 
 def fully_realizes(q: QuotientRing, expected: GroupSpec,
@@ -265,7 +285,7 @@ def fully_realizes(q: QuotientRing, expected: GroupSpec,
     fully = unit_ok and realized == total
     witness = None
     if unit_ok and not fully and first_fail is not None:
-        walk = itertools.product(*image_candidates(g))
+        walk = _walk(g, total, max_endos)
         witness = GroupHom(g, g, next(itertools.islice(walk, first_fail, None)))
     return RealizabilityReport(
         group=expected_c,

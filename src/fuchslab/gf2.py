@@ -25,9 +25,13 @@ def bits(v: int) -> Iterator[int]:
         v ^= low
 
 
-def rref(rows: Iterable[int]) -> tuple[int, ...]:
-    """Canonical reduced row-echelon basis of the span of the given rows."""
-    basis: list[int] = []  # invariant: fully reduced, distinct pivots
+def rref(rows: Iterable[int], start: Sequence[int] = ()) -> tuple[int, ...]:
+    """Canonical reduced row-echelon basis of the span of the given rows.
+
+    `start`, an RREF basis, is extended by the rows instead of being
+    eliminated again: the result is the RREF of start and rows together.
+    """
+    basis = list(start)  # invariant: fully reduced, distinct pivots
     for v in rows:
         for row in basis:
             if v & row & -row:
@@ -39,7 +43,8 @@ def rref(rows: Iterable[int]) -> tuple[int, ...]:
             if row & pivot:
                 basis[i] = row ^ v
         basis.append(v)
-    basis.sort(key=lowest_bit)
+    if len(basis) > len(start):  # start is sorted, and elimination keeps pivots
+        basis.sort(key=lowest_bit)
     return tuple(basis)
 
 

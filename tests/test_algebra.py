@@ -34,7 +34,7 @@ from fuchslab import (
     units,
 )
 from fuchslab import gf2
-from fuchslab.algebra import _cayley_table
+from fuchslab.algebra import _block_unit_count, _cayley_table
 from fuchslab.constructions import _default_pool, _subset_ideals
 
 C2 = GroupSpec((2,))
@@ -271,6 +271,15 @@ def test_quotient_table_reads_the_group_image():
         assert q.quotient_algebra.one_vector == q.group_image[0]
 
 
+def test_project_refuses_an_element_outside_the_ambient():
+    a = group_algebra(C4)
+    q = quotient(C4, ideal_span(a, [a.power(0b0011, 3)]))  # ((1 + y)^3)
+    for bad in (1 << 4, -1):
+        with pytest.raises(ValueError, match=f"{bad:#b} is not an element of the dim-4 algebra"):
+            q.project(bad)
+    assert q.project(0b1111) == 0
+
+
 def test_quotient_rejects_zero_ring():
     a = group_algebra(C2)
     with pytest.raises(ZeroRingError):
@@ -322,25 +331,33 @@ def test_units_budget():
         units(group_algebra(GroupSpec((2,) * 5)))
 
 
-def _unit_count_corpus():
-    # group algebras of dim <= 10, random principal quotients of dim <= 10 of
-    # the group algebras of order <= 16, fields, a field product, and the 20
-    # witness quotients of order <= 64
+_SMALL_GROUPS = ["C1", "C2", "C3", "C4", "C2^2", "C5", "C6", "C7", "C8", "C2 x C4",
+                 "C2^3", "C9", "C3^2", "C10"]
+
+
+def _group_algebra_quotients():
+    # random principal quotients of dim <= 10 of the group algebras of order
+    # <= 16, and the 20 witness quotients of order <= 64
     rng = random.Random(12)
-    small = ["C1", "C2", "C3", "C4", "C2^2", "C5", "C6", "C7", "C8", "C2 x C4",
-             "C2^3", "C9", "C3^2", "C10"]
     larger = ["C12", "C2 x C6", "C15", "C16", "C4^2", "C2 x C8", "C2^2 x C4", "C2^4"]
-    algebras = [group_algebra(parse_group(t)) for t in small]
-    for text in small + larger:
+    rings = []
+    for text in _SMALL_GROUPS + larger:
         g = parse_group(text)
         amb = group_algebra(g)
         for _ in range(4):
             ideal = ideal_span(amb, [rng.getrandbits(amb.dim)])
             if amb.dim - ideal.dim <= 10 and not ideal.contains(amb.one_vector):
-                algebras.append(quotient(g, ideal).quotient_algebra)
+                rings.append(quotient(g, ideal))
+    return rings + list(_witness_rings())
+
+
+def _unit_count_corpus():
+    # group algebras of dim <= 10, the group-algebra quotients above, fields
+    # and a field product
+    algebras = [group_algebra(parse_group(t)) for t in _SMALL_GROUPS]
+    algebras += [q.quotient_algebra for q in _group_algebra_quotients()]
     algebras += [field_algebra(k) for k in range(1, 6)]
     algebras.append(product_algebra([field_algebra(1), field_algebra(2), field_algebra(3)]))
-    algebras += [q.quotient_algebra for q in _witness_rings()]
     return algebras
 
 
@@ -361,6 +378,27 @@ def test_unit_count_is_the_number_of_units():
     assert len(corpus) > 80
     for a in corpus:
         assert unit_count(a) == len(units(a))
+
+
+def test_block_unit_count_matches_unit_count():
+    # the count units_are_group reads off the blocks of F2[G] against the
+    # decomposition of the quotient's own algebra, on the corpus quotients
+    # and on random quotients of group algebras with an odd part
+    rings = _group_algebra_quotients()
+    rng = random.Random(19)
+    for text in ["C3", "C5", "C7", "C3 x C3", "C15", "C21", "C2 x C6", "C12", "C2^4 x C6"]:
+        g = parse_group(text)
+        amb = group_algebra(g)
+        found = 0
+        while found < 65:
+            gens = [rng.getrandbits(amb.dim) for _ in range(rng.randint(1, 3))]
+            ideal = ideal_span(amb, gens)
+            if not ideal.contains(amb.one_vector):
+                rings.append(quotient(g, ideal))
+                found += 1
+    assert len(rings) >= 650
+    for q in rings:
+        assert _block_unit_count(q.ideal) == unit_count(q.quotient_algebra)
 
 
 def test_unit_count_splits_local_factors_and_drops_the_radical():

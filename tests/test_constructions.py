@@ -40,7 +40,7 @@ from fuchslab import (
     unit_group_invariants,
     units,
 )
-from fuchslab import algebra, constructions, gf2
+from fuchslab import algebra, constructions, endo, gf2
 from fuchslab.constructions import (
     _default_pool,
     _fieldprod_kernels,
@@ -595,6 +595,26 @@ def test_subset_ideals_share_sums_per_prefix_ideal(text, budget):
     assert got == expected
 
 
+@pytest.mark.parametrize("text", ["C4 x C4", "C3 x C3", "C2 x C8", "C2^4"])
+def test_ideal_sum_matches_the_concatenated_rref_on_the_search_corpora(text, monkeypatch):
+    # ideal_sum extends the largest basis; the old formula eliminates the
+    # concatenation of all the bases from scratch
+    sums = []
+
+    def checked_sum(ideals):
+        total = ideal_sum(ideals)
+        assert total.ambient is ideals[0].ambient
+        assert total.rref_basis == gf2.rref(v for i in ideals for v in i.rref_basis)
+        sums.append(total)
+        return total
+
+    monkeypatch.setattr(constructions, "ideal_sum", checked_sum)
+    g = parse_group(text)
+    amb = group_algebra(g)
+    list(_subset_ideals(amb, _default_pool(g, amb), 256))
+    assert len(sums) > 100
+
+
 @pytest.mark.parametrize("text,examined,realizing", [("C4 x C4", 164, 9), ("C2 x C8", 56, 0)])
 def test_search_at_a_large_budget(text, examined, realizing):
     # the default pool runs out of new ideals well before budget 100000
@@ -627,7 +647,8 @@ def test_unit_to_group_is_the_search_unit_check(text, realizable):
 
 
 def test_unit_to_group_enumerates_no_units(monkeypatch):
-    # the search and the witness check decide the unit group by unit_count
+    # the search and the witness check decide the unit group by counting
+    # the units, not by listing them
     def no_scan(*args, **kwargs):
         raise AssertionError("units() was called")
 
@@ -636,6 +657,37 @@ def test_unit_to_group_enumerates_no_units(monkeypatch):
     assert (report.ideals_examined, report.realizing_found, report.fully_realizing_found) == (127, 6, 0)
     g = parse_group("C2^2 x C12")
     assert fully_realizes(construct_witness(g), g).fully_realizes
+
+
+@pytest.mark.parametrize("text,lift_tests,counts", [
+    ("C4 x C4", 12, (127, 6, 0)), ("C3 x C3", 37, (11, 6, 0)),
+    ("C2 x C8", 0, (48, 0, 0)), ("C2^4", 0, (256, 0, 0)),
+])
+def test_search_work_counters(text, lift_tests, counts, monkeypatch):
+    # deterministic work, not wall time: the search stops each End(G) walk
+    # at the first endomorphism that does not lift (1536 and 486 lift tests
+    # for the full walks), and decides units_are_group with no quotient
+    # multiplication table
+    calls = []
+    real_check = endo._lift_check
+
+    def counted_check(g, ideal):
+        lifts = real_check(g, ideal)
+
+        def counted(images):
+            calls.append(images)
+            return lifts(images)
+
+        return counted
+
+    def no_table(self):
+        raise AssertionError("the search built a quotient multiplication table")
+
+    monkeypatch.setattr(endo, "_lift_check", counted_check)
+    monkeypatch.setattr(algebra.QuotientRing, "quotient_algebra", property(no_table))
+    report = bounded_ideal_search(parse_group(text))
+    assert (report.ideals_examined, report.realizing_found, report.fully_realizing_found) == counts
+    assert len(calls) <= lift_tests
 
 
 def test_search_determinism():

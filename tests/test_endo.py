@@ -127,6 +127,7 @@ def test_generator_and_basis_checks_agree():
         expected_first = next((i for i, ok in enumerate(by_basis) if not ok), None)
         assert first_fail == expected_first
         assert ring_endos(q) == [h for h, ok in zip(homs, by_basis) if ok]
+        assert endo.every_endo_lifts(q.ideal) == all(by_basis)
 
 
 def test_preserves_ideal_refuses_a_map_of_another_group():
@@ -135,6 +136,11 @@ def test_preserves_ideal_refuses_a_map_of_another_group():
         preserves_ideal(C3, GroupHom(C2, C2, ((1,),)), ideal)
     with pytest.raises(ValueError, match="endomorphism of g"):
         preserves_ideal(C3, GroupHom(C3, GroupSpec((6,)), ((2,),)), ideal)
+
+
+def test_every_endo_lifts_refuses_an_ideal_outside_a_group_algebra():
+    with pytest.raises(ValueError, match="group algebra"):
+        endo.every_endo_lifts(ideal_span(field_algebra(2), []))
 
 
 def test_count_preserving_refuses_a_total_outside_end():
