@@ -255,8 +255,17 @@ def ideal_span(a: Algebra, generators: list[AlgebraElement] | tuple[AlgebraEleme
     a*(b*v) = (a*b)*v stays inside it. So the products of the basis with
     the generators span the ideal, with no closure loop.
     """
-    gens = tuple(g for g in generators if g)
-    span = gf2.rref(a.mul(1 << b, v) for b in range(a.dim) for v in gens)
+    supports = [tuple(gf2.bits(v)) for v in generators if v]
+
+    def products():  # b*v is row b of the table summed over v's support
+        for support in supports:
+            for row in a.mult_table:
+                acc = 0
+                for j in support:
+                    acc ^= row[j]
+                yield acc
+
+    span = gf2.rref(products())
     # closed under multiplication and in canonical RREF form by construction
     return _trusted(Ideal, ambient=a, rref_basis=span)
 

@@ -15,14 +15,15 @@ from enum import Enum
 from functools import lru_cache
 from math import prod
 
+from . import gf2
 from .algebra import (
     Algebra,
     Ideal,
     QuotientRing,
+    _trusted,
     field_algebra,
     group_algebra,
     ideal_span,
-    ideal_sum,
     present_over,
     product_algebra,
     product_element,
@@ -358,36 +359,51 @@ def _default_pool(spec: GroupSpec, amb: Algebra) -> list[int]:
     return pool
 
 
+def _join(x: tuple[int, ...], y: tuple[int, ...]) -> tuple[int, ...]:
+    """RREF basis of the sum of two ideals given by their RREF bases: the
+    smaller inserted into the larger, the rule ideal_sum uses."""
+    if len(x) < len(y):
+        x, y = y, x
+    return gf2.rref(y, x)
+
+
 def _subset_ideals(amb: Algebra, pool: list[int], budget: int):
     # In a commutative ring the ideal a subset generates is the sum of the
     # principal ideals of its members: the ideal of its prefix plus the
     # principal ideal of its last member. Consecutive subsets share most of
-    # their prefix, and many prefixes span the same few ideals, so each
-    # (prefix ideal, member) sum is formed once. Ideals are interned by RREF
-    # basis, so equal sums are one object. Larger subsets mostly regenerate
-    # the same few big ideals, so the subsets taken are capped alongside the
-    # distinct-ideal budget.
-    principal = [ideal_span(amb, [v]) for v in pool]
-    interned: dict[tuple[int, ...], Ideal] = {}
-    sums: dict[tuple[tuple[int, ...], int], Ideal] = {}
+    # their prefix, and many prefixes and members span the same few ideals.
+    # So each distinct ideal is interned as a small id by its RREF basis, id
+    # 0 being the zero ideal, and each sum is formed once per unordered pair
+    # of ids, on bases: only the ideals yielded are wrapped as Ideal objects.
+    # Larger subsets mostly regenerate the same few big ideals, so the
+    # subsets taken are capped alongside the distinct-ideal budget.
+    bases: list[tuple[int, ...]] = [()]
+    ids = {(): 0}
 
-    def plus(prefix: Ideal, i: int) -> Ideal:
-        key = (prefix.rref_basis, i)
+    def intern(basis: tuple[int, ...]) -> int:
+        if basis not in ids:
+            ids[basis] = len(bases)
+            bases.append(basis)
+        return ids[basis]
+
+    principal = [intern(ideal_span(amb, [v]).rref_basis) for v in pool]
+    sums: dict[tuple[int, int], int] = {}
+
+    def plus(x: int, y: int) -> int:
+        key = (x, y) if x < y else (y, x)
         total = sums.get(key)
         if total is None:
-            total = ideal_sum([prefix, principal[i]])
-            total = sums[key] = interned.get(total.rref_basis, total)
+            total = sums[key] = intern(_join(bases[x], bases[y]))
         return total
 
-    zero = ideal_span(amb, [])
-    produced = 0
+    yielded: set[int] = set()
     work_cap = max(8 * budget, 512)
     for size in range(1, len(pool) + 1):
-        if produced >= budget or work_cap <= 0:
+        if len(yielded) >= budget or work_cap <= 0:
             return
-        before = produced
-        # chain[m] is the ideal of the first m members of the current subset
-        chain = [zero] + [None] * size
+        before = len(yielded)
+        # chain[m] is the id of the ideal of the current subset's first m members
+        chain = [0] * (size + 1)
         last = (-1,) * size
         for combo in itertools.combinations(range(len(pool)), size):
             work_cap -= 1
@@ -395,20 +411,19 @@ def _subset_ideals(amb: Algebra, pool: list[int], budget: int):
             while combo[m] == last[m]:
                 m += 1
             for j in range(m, size):
-                chain[j + 1] = plus(chain[j], combo[j])
+                chain[j + 1] = plus(chain[j], principal[combo[j]])
             last = combo
             ideal = chain[size]
-            if ideal.rref_basis not in interned:
-                interned[ideal.rref_basis] = ideal
-                yield ideal
-                produced += 1
-            if produced >= budget or work_cap <= 0:
+            if ideal not in yielded:
+                yielded.add(ideal)
+                yield _trusted(Ideal, ambient=amb, rref_basis=bases[ideal])
+            if len(yielded) >= budget or work_cap <= 0:
                 return
         # A level that adds nothing ends the search. For a subset C u {i} of
         # the next size, this level gave sum(C) = sum(D) for a smaller D, so
         # sum(C u {i}) = sum(D) + p_i = sum(D u {i}), and D u {i} is no larger
         # than C. The next level adds nothing either, nor any after it.
-        if produced == before:
+        if len(yielded) == before:
             return
 
 

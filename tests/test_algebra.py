@@ -6,6 +6,8 @@ from math import prod
 from unittest import mock
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fuchslab import (
     Algebra,
@@ -126,6 +128,28 @@ def test_ideal_span_chain_cube():
     ideal = ideal_span(a, [cube])
     assert ideal.dim == 1 and ideal.rref_basis == (0b1111,)
     assert ideal_span(a, []).dim == 0
+
+
+@lru_cache(maxsize=1)
+def _span_algebras():
+    # group algebras, fields and products of rings, and quotient algebras
+    groups = ((2,), (3,), (2, 2), (4,), (6,), (2, 4), (8,), (3, 3), (2, 2, 2, 2), (4, 4))
+    return ([group_algebra(GroupSpec(orders)) for orders in groups]
+            + [field_algebra(1), field_algebra(3),
+               product_algebra([field_algebra(1), field_algebra(2)]),
+               product_algebra([group_algebra(C4), field_algebra(2)])]
+            + _non_group_non_field_algebras())
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(st.data())
+def test_ideal_span_reads_the_products_off_table_rows(data):
+    # the oracle forms every product b*v with Algebra.mul
+    algebras = _span_algebras()
+    a = algebras[data.draw(st.integers(0, len(algebras) - 1))]
+    gens = data.draw(st.lists(st.integers(0, (1 << a.dim) - 1), max_size=4))
+    expected = gf2.rref(a.mul(1 << b, v) for b in range(a.dim) for v in gens)
+    assert ideal_span(a, gens).rref_basis == expected
 
 
 def test_ideal_span_is_closed_for_general_algebras():

@@ -285,13 +285,13 @@ def test_search_stops_once_a_level_adds_nothing(capsys, monkeypatch):
     # every ideal the C2 x C4 pool reaches appears by subset size 2; without
     # the stop, budget 100000 walks 800,000 subsets of its 20-element pool
     sums = []
-    real_sum = constructions.ideal_sum
+    real_join = constructions._join
 
-    def counted_sum(ideals):
-        sums.append(len(ideals))
-        return real_sum(ideals)
+    def counted_join(x, y):
+        sums.append((x, y))
+        return real_join(x, y)
 
-    monkeypatch.setattr(constructions, "ideal_sum", counted_sum)
+    monkeypatch.setattr(constructions, "_join", counted_join)
     code, wide = _run_json(capsys, ["search", "C2 x C4", "--budget", "100000"])
     assert code == EXIT_OK
     assert len(sums) <= 1350

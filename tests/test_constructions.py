@@ -568,8 +568,10 @@ def test_subset_ideals_match_a_span_per_subset(text):
 
 
 @pytest.mark.parametrize("text,budget", [
-    ("C4 x C4", 256), ("C3 x C3", 256), ("C2 x C8", 256), ("C2^4", 256), ("C2 x C4", 100000),
-])
+    (text, budget)
+    for text in ("C4 x C4", "C3 x C3", "C2 x C8", "C2^4", "C12", "C15", "C2 x C6", "C3 x C5")
+    for budget in (256, 1, 7, 16, 100)
+] + [("C2 x C4", 100000)])
 def test_subset_ideals_share_sums_per_prefix_ideal(text, budget):
     # reference: one ideal_sum per subset over its members' principal
     # ideals, in itertools.combinations order, with the same caps and stop
@@ -595,24 +597,50 @@ def test_subset_ideals_share_sums_per_prefix_ideal(text, budget):
     assert got == expected
 
 
-@pytest.mark.parametrize("text", ["C4 x C4", "C3 x C3", "C2 x C8", "C2^4"])
-def test_ideal_sum_matches_the_concatenated_rref_on_the_search_corpora(text, monkeypatch):
-    # ideal_sum extends the largest basis; the old formula eliminates the
-    # concatenation of all the bases from scratch
+@pytest.mark.parametrize("texts", [("C4 x C4",), ("C3 x C3", "C2 x C6"), ("C2 x C8",), ("C2^4",)],
+                         ids=lambda texts: texts[0])
+def test_ideal_sum_matches_the_concatenated_rref_on_the_search_corpora(texts, monkeypatch):
+    # every join of the search's ideal lattice is the ideal_sum of its two
+    # ideals, and ideal_sum, which extends the larger basis, is the old
+    # formula that eliminates the concatenation of the bases from scratch.
+    # C3 x C3 alone forms only 71 sums, so its case walks C2 x C6 as well
     sums = []
+    real_join = constructions._join
+    for text in texts:
+        g = parse_group(text)
+        amb = group_algebra(g)
 
-    def checked_sum(ideals):
-        total = ideal_sum(ideals)
-        assert total.ambient is ideals[0].ambient
-        assert total.rref_basis == gf2.rref(v for i in ideals for v in i.rref_basis)
-        sums.append(total)
-        return total
+        def checked_join(x, y, amb=amb):
+            total = real_join(x, y)
+            assert total == ideal_sum([Ideal(amb, x), Ideal(amb, y)]).rref_basis
+            assert total == gf2.rref(x + y)
+            sums.append(total)
+            return total
 
-    monkeypatch.setattr(constructions, "ideal_sum", checked_sum)
+        monkeypatch.setattr(constructions, "_join", checked_join)
+        list(_subset_ideals(amb, _default_pool(g, amb), 256))
+    assert len(sums) > 100
+
+
+@pytest.mark.parametrize("text,limit", [
+    ("C4 x C4", 437), ("C3 x C3", 71), ("C2 x C8", 209), ("C2^4", 380),
+])
+def test_subset_ideals_form_each_sum_once_per_pair_of_ideals(text, limit, monkeypatch):
+    # equal principal ideals share their sums: memoised per (prefix ideal,
+    # pool member) instead, the walk forms 1,278, 280, 975 and 380 sums
+    pairs = []
+    real_join = constructions._join
+
+    def counted_join(x, y):
+        pairs.append(frozenset((x, y)))
+        return real_join(x, y)
+
+    monkeypatch.setattr(constructions, "_join", counted_join)
     g = parse_group(text)
     amb = group_algebra(g)
     list(_subset_ideals(amb, _default_pool(g, amb), 256))
-    assert len(sums) > 100
+    assert len(pairs) <= limit
+    assert len(set(pairs)) == len(pairs)
 
 
 @pytest.mark.parametrize("text,examined,realizing", [("C4 x C4", 164, 9), ("C2 x C8", 56, 0)])
