@@ -147,7 +147,8 @@ def group_algebra(g: GroupSpec) -> Algebra:
     """
     if not g.is_finite:
         raise InfiniteGroupError(f"group algebra of {g} is not materialized")
-    return Algebra(_cayley_table(g), 1, group=g)
+    # the Cayley table is what Algebra(..., group=g) would build to compare with
+    return _trusted(Algebra, mult_table=_cayley_table(g), one_vector=1, group=g)
 
 
 def _poly_mod(a: int, b: int) -> int:

@@ -27,7 +27,6 @@ from .errors import (
     InfiniteGroupError,
 )
 from .groups import GroupSpec, endo_count, endo_count_log10, parse_group, render_group
-from .selftest import run_all
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
@@ -138,6 +137,9 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+_PARSER = build_parser()  # one per process: parse_args keeps no state between calls
+
+
 def _report_verdict(report, verdict):
     report["group"] = render_group(verdict.group)
     report["fully_realizable"] = verdict.fully_realizable
@@ -224,6 +226,8 @@ def _cmd_search(args, report, timer) -> None:
 
 
 def _cmd_selftest(args, report, timer) -> int:
+    from .selftest import run_all  # imported here: no other command loads it
+
     with timer.measure("selftest"):
         results = run_all(max_order=args.max_order)
     report["criteria"] = [
@@ -272,9 +276,8 @@ def _emit(report: dict, as_json: bool, with_timings: bool, timer: _Timer) -> Non
 
 
 def run(argv: list[str]) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _PARSER.parse_args(argv)
     except SystemExit as exc:
         return EXIT_USAGE if exc.code not in (0, None) else EXIT_OK
     timer = _Timer()

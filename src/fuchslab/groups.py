@@ -240,11 +240,17 @@ def prime_power_split(n: int) -> dict[int, int]:
 def canonicalize(g: GroupSpec) -> GroupSpec:
     """Invariant-factor form of g; idempotent, preserves the isomorphism class.
 
+    Orders that already form a chain d1 | d2 | ... | dn (each >= 2) are an
+    invariant-factor form of g, which is unique, so g comes back unchanged.
+
     >>> canonicalize(GroupSpec((6, 4))).finite_orders
     (2, 12)
     """
+    orders = g.finite_orders
+    if all(b % a == 0 for a, b in zip(orders, orders[1:])):
+        return g
     per_prime: dict[int, list[int]] = {}
-    for d, count in Counter(g.finite_orders).items():
+    for d, count in Counter(orders).items():
         for p, e in prime_power_split(d).items():
             per_prime.setdefault(p, []).extend([e] * count)
     for exps in per_prime.values():

@@ -163,12 +163,14 @@ def test_ideal_span_is_closed_for_general_algebras():
 
 
 def test_trusted_builds_pass_the_public_checks():
-    # ideal_span and quotient skip validation; the public constructors,
-    # which check everything, must accept what they build
+    # group_algebra, ideal_span and quotient skip validation; the public
+    # constructors, which check everything, must accept what they build
     rng = random.Random(20261018)
     for orders in ((2, 2), (4,), (2, 4), (6,), (8,), (3, 3)):
         g = GroupSpec(orders)
         a = group_algebra(g)
+        Algebra(a.mult_table, 1, group=g)
+        Algebra(a.mult_table, 1)  # the ring axioms, checked without the label
         for _ in range(16):
             raw = [rng.randrange(1 << a.dim) for _ in range(rng.randint(0, 3))]
             # mostly even weight, so most spans are proper and have a quotient

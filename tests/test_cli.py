@@ -3,8 +3,11 @@
 import contextlib
 import io
 import json
+import os
+import subprocess
 import sys
 from math import gcd, prod
+from pathlib import Path
 
 import pytest
 from hypothesis import HealthCheck, example, given, settings
@@ -167,11 +170,62 @@ def test_selftest_exits_one_when_a_criterion_fails(capsys, monkeypatch):
         return [CriterionResult("example-corpus", False, "forced failure"),
                 CriterionResult("cyclic-sweep", True, "1 checks")]
 
-    monkeypatch.setattr(cli, "run_all", failing_run_all)
+    # the selftest command imports run_all when it runs, so patch it at home
+    monkeypatch.setattr("fuchslab.selftest.run_all", failing_run_all)
     code = run(["--no-timings", "selftest", "--max-order", "2"])
     out = capsys.readouterr().out
     assert code == EXIT_CHECK_FAILED == 1
     assert "FAIL  example-corpus" in out  # the report is still emitted
+
+
+def test_importing_the_cli_leaves_selftest_unloaded():
+    # a fresh process that imports the CLI compiles no selftest code
+    src = str(Path(cli.__file__).resolve().parents[1])
+    probe = "import sys, fuchslab.cli; print('fuchslab.selftest' in sys.modules)"
+    done = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": src}, check=True)
+    assert done.stdout.strip() == "False"
+
+
+# flags before and after the subcommand, --max-endos given and omitted, and the
+# subparsers' SUPPRESS defaults of --json and --no-timings (set on one side only)
+_PARSER_ARGVS = [
+    ["classify", "C2"],
+    ["--json", "classify", "C2"],
+    ["classify", "C2", "--json"],
+    ["--no-timings", "classify", "C3 x C3", "--json"],
+    ["--json", "--no-timings", "endos", "C2 x C4"],
+    ["verify", "C4"],
+    ["verify", "C4", "--max-endos", "7"],
+    ["--json", "verify", "--max-endos", "100", "C2^2", "--no-timings"],
+    ["verify", "C4", "--ring", "chain(k=2,j=3)", "--json"],
+    ["search", "C16", "--pool", "chain", "--budget", "3", "--no-timings"],
+    ["--no-timings", "search", "C3 x C3", "--budget", "2", "--json"],
+    ["construct", "C2 x C6", "--json", "--no-timings"],
+    ["selftest", "--max-order", "5"],
+    ["--json", "selftest"],
+]
+_BAD_ARGVS = [[], ["bogus"], ["verify"], ["verify", "C4", "--max-endos", "0"],
+              ["classify", "C2", "--max-endos", "5"], ["--help"], ["search", "--help"]]
+
+
+def test_shared_parser_parses_like_a_fresh_one():
+    for argvs in (_PARSER_ARGVS, _PARSER_ARGVS[::-1]):
+        for argv in argvs:
+            assert vars(cli._PARSER.parse_args(argv)) == vars(cli.build_parser().parse_args(argv))
+
+
+def test_run_prints_the_same_with_a_fresh_parser(capsys, monkeypatch):
+    # selftest runs are left out to keep this quick; their parse is compared above
+    reports = [[*a, "--no-timings"] for a in _PARSER_ARGVS if "selftest" not in a]
+    argvs = reports + _BAD_ARGVS
+    for order in (argvs, argvs[::-1]):
+        for argv in order:
+            shared = (run(argv), capsys.readouterr())
+            with monkeypatch.context() as m:
+                m.setattr(cli, "_PARSER", cli.build_parser())
+                fresh = (run(argv), capsys.readouterr())
+            assert shared == fresh, argv
 
 
 def _one_line_error(capsys, argv):
@@ -374,6 +428,27 @@ def _invariant_name(orders):
     parts = [f"C{d}" if factors.count(d) == 1 else f"C{d}^{factors.count(d)}"
              for d in sorted(set(factors))]
     return " x ".join(parts) or "C1"
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(st.lists(st.integers(2, 360), max_size=6), st.integers(0, 2))
+def test_canonicalize_matches_the_invariant_name(orders, infinite_rank):
+    g = GroupSpec(tuple(orders), infinite_rank)
+    c = canonicalize(g)
+    assert render_group(GroupSpec(c.finite_orders)) == _invariant_name(orders)
+    assert c.infinite_rank == infinite_rank
+    assert canonicalize(c) is c
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(st.integers(2, 12), st.lists(st.integers(1, 4), max_size=6), st.integers(0, 2))
+def test_canonicalize_returns_a_chain_unchanged(first, steps, infinite_rank):
+    orders = [first]
+    for k in steps:
+        orders.append(orders[-1] * k)
+    g = GroupSpec(tuple(orders), infinite_rank)
+    assert canonicalize(g) is g
+    assert render_group(GroupSpec(g.finite_orders)) == _invariant_name(orders)
 
 
 @settings(max_examples=40, deadline=None, derandomize=True,

@@ -1,5 +1,6 @@
 """The classification oracle, witness ideals, and bounded searches."""
 
+import functools
 import itertools
 import random
 
@@ -511,9 +512,10 @@ def test_search_rejects_bad_input():
 
 
 def test_spans_and_quotients_are_not_revalidated(monkeypatch):
-    # ideal_span and quotient build objects valid by construction; only the
-    # group algebras, built through the public Algebra(...), are checked
-    validated_ideals, validated_algebras = [], []
+    # group algebras, ideal spans, quotients, fields and products are all
+    # valid by construction: none is checked again, and each group algebra
+    # is built once
+    validated_ideals, validated_algebras, built = [], [], []
     check_ideal, check_algebra = Ideal.__post_init__, Algebra.__post_init__
 
     def counted_ideal(self):
@@ -524,26 +526,32 @@ def test_spans_and_quotients_are_not_revalidated(monkeypatch):
         validated_algebras.append(self)
         check_algebra(self)
 
+    def counted_build(g):
+        built.append(g)
+        return group_algebra.__wrapped__(g)
+
     monkeypatch.setattr(Ideal, "__post_init__", counted_ideal)
     monkeypatch.setattr(Algebra, "__post_init__", counted_algebra)
-    group_algebra.cache_clear()
+    # a fresh cache around the builder, wherever the library calls it
+    cached_build = functools.lru_cache(maxsize=64)(counted_build)
+    for module in (algebra, constructions):
+        monkeypatch.setattr(module, "group_algebra", cached_build)
     report = bounded_ideal_search(parse_group("C4 x C4"))
     assert (report.ideals_examined, report.realizing_found, report.fully_realizing_found) == (127, 6, 0)
     assert validated_ideals == []
-    assert [a.group for a in validated_algebras] == [parse_group("C4 x C4")]
+    assert built == [parse_group("C4 x C4")]
 
-    validated_algebras.clear()
-    group_algebra.cache_clear()
+    built.clear()
+    cached_build.cache_clear()
     ring = construct_witness(parse_group("C2^2 x C12"))
     assert ring.unit_group_invariants() == (2, 2, 12)
     assert validated_ideals == []
     # F2[C2^2 x C4], then F2[C2^2 x C4 x C3]: no canonical C2^2 x C12 is built
-    groups = [a.group.finite_orders for a in validated_algebras if a.group is not None]
-    assert sorted(groups) == [(2, 2, 4), (2, 2, 4, 3)]
+    assert sorted(g.finite_orders for g in built) == [(2, 2, 4), (2, 2, 4, 3)]
     # F4 is a field by construction, and the target of present_over,
     # (F2[C2^2 x C4]/a24) x F4, is a product of valid algebras: neither is
-    # checked again
-    assert [a for a in validated_algebras if a.group is None] == []
+    # checked again, nor is either group algebra
+    assert validated_algebras == []
 
 
 @pytest.mark.parametrize("text", ["C3 x C3", "C2 x C8", "C2^4"])
