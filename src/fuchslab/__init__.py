@@ -11,13 +11,11 @@ from .algebra import (
     find_inverse,
     group_algebra,
     ideal_span,
-    ideal_sum,
     is_unit,
     multiplicative_order,
     present_over,
     product_algebra,
     product_element,
-    quotient,
     unit_count,
     unit_group_invariants,
     units,

@@ -271,23 +271,6 @@ def ideal_span(a: Algebra, generators: list[AlgebraElement] | tuple[AlgebraEleme
     return _trusted(Ideal, ambient=a, rref_basis=span)
 
 
-def ideal_sum(ideals: list[Ideal] | tuple[Ideal, ...]) -> Ideal:
-    """The sum of one or more ideals of the same algebra.
-
-    A sum of ideals is an ideal, so the RREF span of their bases needs no
-    multiplication closure and no revalidation. The largest basis is already
-    in RREF form, so the others are inserted into it; when they add nothing,
-    the sum is that ideal.
-    """
-    if not ideals or any(i.ambient is not ideals[0].ambient for i in ideals):
-        raise ValueError("ideal_sum needs one or more ideals of the same algebra")
-    big = max(ideals, key=lambda i: i.dim)
-    span = gf2.rref((v for i in ideals if i is not big for v in i.rref_basis), big.rref_basis)
-    if len(span) == big.dim:
-        return big
-    return _trusted(Ideal, ambient=big.ambient, rref_basis=span)
-
-
 def _element_of(a: Algebra, e: AlgebraElement) -> AlgebraElement:
     """e, refused unless it is an element of `a`; Algebra.mul does not check."""
     if e < 0 or e >> a.dim:
@@ -502,14 +485,17 @@ class QuotientRing:
     `units_are_group` needs no table.
     """
 
-    def __init__(self, parent_group: GroupSpec, ideal: Ideal) -> None:
-        amb = ideal.ambient
-        if amb.group != parent_group:
-            raise ValueError("ideal does not live in the group algebra of the parent group")
-        if ideal.contains(amb.one_vector):
+    def __init__(self, ideal: Ideal) -> None:
+        if ideal.ambient.group is None:
+            raise ValueError("the ideal must live in a group algebra")
+        if ideal.contains(ideal.ambient.one_vector):
             raise ZeroRingError("1 lies in the ideal; the quotient is the zero ring")
-        self.parent_group = parent_group
         self.ideal = ideal
+
+    @property
+    def parent_group(self) -> GroupSpec:
+        """G, read off the ideal's group algebra F2[G]."""
+        return self.ideal.ambient.group
 
     @cached_property
     def _coord_of(self) -> dict[int, int]:
@@ -563,11 +549,6 @@ class QuotientRing:
         return unit_group_invariants(self.quotient_algebra)
 
 
-def quotient(g: GroupSpec, i: Ideal) -> QuotientRing:
-    """The quotient of F2[g] by an ideal; raises ZeroRingError if 1 lies in it."""
-    return QuotientRing(g, i)
-
-
 def unit_embedding_basis(g: GroupSpec, target: Algebra,
                          images: list[AlgebraElement]) -> tuple[int, ...]:
     """RREF basis of the kernel of the ring map F2[g] -> target sending
@@ -610,4 +591,4 @@ def present_over(g: GroupSpec, target: Algebra, images: list[AlgebraElement]) ->
     """
     basis = unit_embedding_basis(g, target, images)
     kernel = _trusted(Ideal, ambient=group_algebra(g), rref_basis=basis)
-    return quotient(g, kernel)
+    return QuotientRing(kernel)

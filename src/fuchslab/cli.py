@@ -13,6 +13,7 @@ import json
 import sys
 import time
 
+from . import __version__
 from .constructions import (
     POOLS,
     bounded_ideal_search,
@@ -54,16 +55,10 @@ _REPORT_KEYS = (
 )
 
 
-def _version() -> str:
-    from . import __version__
-
-    return __version__
-
-
 def _skeleton(command: str) -> dict:
     report = {key: None for key in _REPORT_KEYS}
     report["command"] = command
-    report["version"] = _version()
+    report["version"] = __version__
     return report
 
 

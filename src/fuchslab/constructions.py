@@ -27,7 +27,6 @@ from .algebra import (
     present_over,
     product_algebra,
     product_element,
-    quotient,
     unit_embedding_basis,
 )
 from .endo import every_endo_lifts
@@ -268,7 +267,7 @@ def construct_witness(g: GroupSpec) -> QuotientRing:
     _within_witness_budget(rank, (4 if with_c4 else 1) * (3 if with_c3 else 1))
     ideal = a24_ideal(rank, with_c4)
     w = ideal.ambient.group
-    w_ring = quotient(w, ideal)
+    w_ring = QuotientRing(ideal)
     if not with_c3:
         return w_ring
     comps = [w_ring.quotient_algebra, field_algebra(2)]
@@ -321,7 +320,7 @@ def ring_from_recipe(recipe: str) -> tuple[GroupSpec, QuotientRing]:
             if not 1 <= j <= 2**k:
                 raise GroupSyntaxError(f"chain power j={j} outside 1..{2**k}")
             spec = GroupSpec((2**k,))
-            return spec, quotient(spec, ideals[j])
+            return spec, QuotientRing(ideals[j])
         rank = _int_arg(args, "rank")
     except KeyError as exc:
         raise GroupSyntaxError(f"recipe {recipe!r} is missing argument {exc}") from exc
@@ -360,8 +359,11 @@ def _default_pool(spec: GroupSpec, amb: Algebra) -> list[int]:
 
 
 def _join(x: tuple[int, ...], y: tuple[int, ...]) -> tuple[int, ...]:
-    """RREF basis of the sum of two ideals given by their RREF bases: the
-    smaller inserted into the larger, the rule ideal_sum uses."""
+    """RREF basis of the sum of two ideals given by their RREF bases.
+
+    A sum of ideals is an ideal, so the span needs no multiplication
+    closure: the smaller basis is inserted into the larger, already in RREF.
+    """
     if len(x) < len(y):
         x, y = y, x
     return gf2.rref(y, x)
@@ -496,7 +498,7 @@ def bounded_ideal_search(g: GroupSpec, pool: str = "default", budget: int = 256)
         examined += 1
         if ideal.contains(amb.one_vector) or (1 << (amb.dim - ideal.dim)) - 1 < order:
             continue
-        q = quotient(c, ideal)
+        q = QuotientRing(ideal)
         # No check of the unit group's invariants is needed: the projection
         # is a ring map, so on G it is a group homomorphism into the units,
         # and one-to-one and onto them it makes them isomorphic to G.

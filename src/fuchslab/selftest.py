@@ -12,6 +12,7 @@ import random
 from dataclasses import dataclass
 
 from .algebra import (
+    QuotientRing,
     augmentation,
     field_algebra,
     find_inverse,
@@ -21,7 +22,6 @@ from .algebra import (
     present_over,
     product_algebra,
     product_element,
-    quotient,
     unit_group_invariants,
 )
 from .constructions import (
@@ -59,7 +59,7 @@ def _result(name: str, checks: list[tuple[bool, str]]) -> CriterionResult:
 
 
 def _zero_ideal_ring(g: GroupSpec):
-    return quotient(g, ideal_span(group_algebra(g), []))
+    return QuotientRing(ideal_span(group_algebra(g), []))
 
 
 def criterion_1_basic_examples() -> CriterionResult:
@@ -72,7 +72,7 @@ def criterion_1_basic_examples() -> CriterionResult:
     c4 = GroupSpec((4,))
     amb = group_algebra(c4)
     chain_cube = ideal_span(amb, [amb.power(0b0011, 3)])  # (1+y)^3
-    rep = fully_realizes(quotient(c4, chain_cube), c4)
+    rep = fully_realizes(QuotientRing(chain_cube), c4)
     checks.append((rep.fully_realizes and (rep.realized_endos, rep.total_endos) == (4, 4),
                    "F2[C4]/((1+y)^3) must fully realize C4 with 4/4"))
     c3 = GroupSpec((3,))
@@ -85,7 +85,7 @@ def criterion_1_basic_examples() -> CriterionResult:
     checks.append((not rep.fully_realizes and (rep.realized_endos, rep.total_endos) == (2, 3),
                    "F4 alone must realize only 2 of 3"))
     trivial = GroupHom(c3, c3, ((0,),))
-    checks.append((not preserves_ideal(c3, trivial, q.ideal),
+    checks.append((not preserves_ideal(trivial, q.ideal),
                    "the trivial endomorphism must fail on F4"))
     checks.append((rep.failing_witness == trivial, "the recorded witness must be the trivial map"))
     return _result("example-corpus", checks)
@@ -127,7 +127,7 @@ def criterion_3_chain_ring_sweep() -> CriterionResult:
         for j, ideal in enumerate(ideals):
             if ideal.contains(group_algebra(spec).one_vector):
                 continue
-            qa = quotient(spec, ideal).quotient_algebra
+            qa = QuotientRing(ideal).quotient_algebra
             if unit_group_invariants(qa) == (2**k,):
                 hits.append(j)
         if k == 2:
@@ -143,13 +143,13 @@ def criterion_4_witness_families() -> CriterionResult:
     expected_sumc2 = {1: 2, 2: 16, 3: 512, 4: 65536}
     for rank, count in expected_sumc2.items():
         spec = GroupSpec((2,) * rank)
-        rep = fully_realizes(quotient(spec, a24_ideal(rank, False)), spec)
+        rep = fully_realizes(QuotientRing(a24_ideal(rank, False)), spec)
         checks.append((rep.fully_realizes and rep.total_endos == count == rep.realized_endos,
                        f"sumc2 rank {rank} must preserve all {count} endomorphisms"))
     expected_a24 = {0: 4, 1: 32, 2: 1024}
     for rank, count in expected_a24.items():
         spec = GroupSpec((2,) * rank + (4,))
-        rep = fully_realizes(quotient(spec, a24_ideal(rank, True)), spec)
+        rep = fully_realizes(QuotientRing(a24_ideal(rank, True)), spec)
         checks.append((rep.fully_realizes and rep.total_endos == count == rep.realized_endos,
                        f"a24 rank {rank} must preserve all {count} endomorphisms"))
     for rank in (0, 1, 2):
@@ -195,7 +195,7 @@ def criterion_6_negative_evidence() -> CriterionResult:
     rep = fully_realizes(q, c33)
     checks.append((rep.unit_group_ok, "F2[C3] x F4 must have unit group C3 x C3"))
     psi = GroupHom(c33, c33, ((1, 1), (0, 1)))  # (u, v) -> (u, uv)
-    checks.append((not preserves_ideal(c33, psi, q.ideal),
+    checks.append((not preserves_ideal(psi, q.ideal),
                    "(u, v) -> (u, uv) must fail ideal preservation"))
     checks.append((not rep.fully_realizes, "F2[C3] x F4 must not fully realize C3 x C3"))
     return _result("negative-evidence", checks)
@@ -257,21 +257,18 @@ def criterion_8_structural_properties() -> CriterionResult:
     rng = random.Random(20260810)
     checks = []
 
-    samples = [
-        (GroupSpec((2, 2)), a24_ideal(2, False)),
-        (GroupSpec((2, 4)), a24_ideal(1, True)),
-        (GroupSpec((2, 3)), _cyclic_product(GroupSpec((2,)), GroupSpec((3,))).ideal),
-    ]
+    samples = [a24_ideal(2, False), a24_ideal(1, True),
+               _cyclic_product(GroupSpec((2,)), GroupSpec((3,))).ideal]
     closed = all(
         ideal.contains(ideal.ambient.mul(1 << b, v))
-        for _, ideal in samples
+        for ideal in samples
         for b in range(ideal.ambient.dim)
         for v in ideal.rref_basis
     )
     checks.append((closed, "ideal spans must be multiplication-closed"))
     dims_ok = all(
-        quotient(spec, ideal).dim == ideal.ambient.dim - ideal.dim
-        for spec, ideal in samples
+        QuotientRing(ideal).dim == ideal.ambient.dim - ideal.dim
+        for ideal in samples
     )
     checks.append((dims_ok, "dim(quotient) must equal dim(parent) - dim(ideal)"))
 
@@ -321,7 +318,7 @@ def criterion_8_structural_properties() -> CriterionResult:
             product_ok = False
     checks.append((product_ok, "F2[G1] x F2[G2] must have the product unit group"))
 
-    ring22 = quotient(GroupSpec((2, 2)), a24_ideal(2, False))
+    ring22 = QuotientRing(a24_ideal(2, False))
     x1 = ring22.group_image[2]  # coset of (1, 0)
     summand = present_over(GroupSpec((2,)), ring22.quotient_algebra, [x1])
     rep = fully_realizes(summand, GroupSpec((2,)))

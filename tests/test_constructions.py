@@ -15,6 +15,7 @@ from fuchslab import (
     Ideal,
     InfiniteGroupError,
     NotRealizableError,
+    QuotientRing,
     Reason,
     a24_ideal,
     bounded_ideal_search,
@@ -27,14 +28,12 @@ from fuchslab import (
     fully_realizes,
     group_algebra,
     ideal_span,
-    ideal_sum,
     identity_hom,
     parse_group,
     present_over,
     preserves_ideal,
     product_algebra,
     product_element,
-    quotient,
     ring_from_recipe,
     star_ideal,
     unit_count,
@@ -105,7 +104,7 @@ def test_sumc2_small_ranks():
     assert a24_ideal(1, False).dim == 0
     two = a24_ideal(2, False)
     assert two.dim == 1
-    q = quotient(GroupSpec((2, 2)), two)
+    q = QuotientRing(two)
     assert q.dim == 3 and unit_count(q.quotient_algebra) == 4
 
 
@@ -134,7 +133,7 @@ def test_a24_examples():
     chain = a24_ideal(0, True)
     assert chain.rref_basis == (0b1111,)
     spec = GroupSpec((2, 4))
-    q = quotient(spec, a24_ideal(1, True))
+    q = QuotientRing(a24_ideal(1, True))
     assert q.dim == 4
     rep = fully_realizes(q, spec)
     assert rep.fully_realizes and rep.total_endos == 32
@@ -273,22 +272,20 @@ def test_kgproduct_single_part_is_zero_ideal():
     assert _kgproduct((GroupSpec((4,)),)).ideal.dim == 0
 
 
-def test_ideal_from_another_presentation_is_refused():
+def test_a_quotients_group_is_its_ideals_group():
     # an ideal belongs to the group its algebra carries, even when another
     # group has the same order
-    c2c2 = GroupSpec((2, 2))
     c4_ideal = construct_witness(GroupSpec((4,))).ideal
-    assert c4_ideal.ambient.group == GroupSpec((4,))
-    with pytest.raises(ValueError):
-        quotient(c2c2, c4_ideal)
-    with pytest.raises(ValueError):
-        preserves_ideal(c2c2, identity_hom(c2c2), c4_ideal)
-    with pytest.raises(ValueError):
-        count_preserving(c2c2, c4_ideal, endo_count(c2c2))
-    c2c3 = _kgproduct((GroupSpec((2,)), GroupSpec((3,))))
-    with pytest.raises(ValueError):
-        quotient(GroupSpec((6,)), c2c3.ideal)
-    assert quotient(GroupSpec((2, 3)), c2c3.ideal).dim == 4
+    assert QuotientRing(c4_ideal).parent_group == GroupSpec((4,))
+    c2c2 = GroupSpec((2, 2))
+    with pytest.raises(ValueError, match="endomorphism of C4"):
+        preserves_ideal(identity_hom(c2c2), c4_ideal)
+    with pytest.raises(ValueError, match="outside"):
+        count_preserving(c4_ideal, endo_count(c2c2))  # |End(C2^2)| = 16 > |End(C4)| = 4
+    # the kernel onto F2[C2] x F2[C3] is presented over C2 x C3, not C6
+    c2c3 = QuotientRing(_kgproduct((GroupSpec((2,)), GroupSpec((3,)))).ideal)
+    assert c2c3.parent_group == GroupSpec((2, 3)) != GroupSpec((6,))
+    assert c2c3.dim == 4
 
 
 # the 8 positive groups of order <= 64 with a C3 summand
@@ -328,7 +325,7 @@ def test_chain_ring_unit_sweep():
         for j, ideal in enumerate(chain_ring_ideals(k)):
             if ideal.contains(1):
                 continue
-            qa = quotient(spec, ideal).quotient_algebra
+            qa = QuotientRing(ideal).quotient_algebra
             if unit_count(qa) == 2**k and unit_group_invariants(qa) == (2**k,):
                 hits.append(j)
         assert hits == expected_hits
@@ -581,12 +578,11 @@ def test_subset_ideals_match_a_span_per_subset(text):
     for budget in (256, 1, 7, 16, 100)
 ] + [("C2 x C4", 100000)])
 def test_subset_ideals_share_sums_per_prefix_ideal(text, budget):
-    # reference: one ideal_sum per subset over its members' principal
-    # ideals, in itertools.combinations order, with the same caps and stop
+    # reference: one ideal_span per subset of the pool, which shares no code
+    # with _join, in itertools.combinations order, with the same caps and stop
     g = parse_group(text)
     amb = group_algebra(g)
     pool = _default_pool(g, amb)
-    principal = [ideal_span(amb, [v]) for v in pool]
     work_cap = max(8 * budget, 512)
     expected, seen = [], set()
     for size in range(1, len(pool) + 1):
@@ -595,7 +591,7 @@ def test_subset_ideals_share_sums_per_prefix_ideal(text, budget):
             if len(expected) >= budget or work_cap <= 0:
                 break
             work_cap -= 1
-            basis = ideal_sum([principal[i] for i in combo]).rref_basis
+            basis = ideal_span(amb, [pool[i] for i in combo]).rref_basis
             if basis not in seen:
                 seen.add(basis)
                 expected.append(basis)
@@ -608,9 +604,9 @@ def test_subset_ideals_share_sums_per_prefix_ideal(text, budget):
 @pytest.mark.parametrize("texts", [("C4 x C4",), ("C3 x C3", "C2 x C6"), ("C2 x C8",), ("C2^4",)],
                          ids=lambda texts: texts[0])
 def test_ideal_sum_matches_the_concatenated_rref_on_the_search_corpora(texts, monkeypatch):
-    # every join of the search's ideal lattice is the ideal_sum of its two
-    # ideals, and ideal_sum, which extends the larger basis, is the old
-    # formula that eliminates the concatenation of the bases from scratch.
+    # every join of the search's ideal lattice, which extends the larger
+    # basis, is the sum of its two ideals by the old formula that eliminates
+    # the concatenation of the bases from scratch.
     # C3 x C3 alone forms only 71 sums, so its case walks C2 x C6 as well
     sums = []
     real_join = constructions._join
@@ -620,7 +616,6 @@ def test_ideal_sum_matches_the_concatenated_rref_on_the_search_corpora(texts, mo
 
         def checked_join(x, y, amb=amb):
             total = real_join(x, y)
-            assert total == ideal_sum([Ideal(amb, x), Ideal(amb, y)]).rref_basis
             assert total == gf2.rref(x + y)
             sums.append(total)
             return total
@@ -672,7 +667,7 @@ def test_unit_to_group_is_the_search_unit_check(text, realizable):
     for ideal in ideals:
         if ideal.contains(amb.one_vector):
             continue
-        q = quotient(g, ideal)
+        q = QuotientRing(ideal)
         image = set(q.group_image)
         exact = image == units(q.quotient_algebra) and len(image) == g.torsion_order
         assert q.units_are_group == exact
@@ -707,8 +702,8 @@ def test_search_work_counters(text, lift_tests, counts, monkeypatch):
     calls = []
     real_check = endo._lift_check
 
-    def counted_check(g, ideal):
-        lifts = real_check(g, ideal)
+    def counted_check(ideal):
+        lifts = real_check(ideal)
 
         def counted(images):
             calls.append(images)

@@ -12,6 +12,7 @@ from fuchslab import (
     BudgetExceededError,
     GroupHom,
     GroupSpec,
+    QuotientRing,
     UnitGroupMismatchError,
     a24_ideal,
     count_preserving,
@@ -27,7 +28,6 @@ from fuchslab import (
     preserves_ideal,
     product_algebra,
     product_element,
-    quotient,
     ring_endos,
     ring_endos_oracle,
 )
@@ -65,12 +65,12 @@ def _walk(g, ideal, total):
     """count_preserving's walk alone, without the monoid generators it
     tries first."""
     with mock.patch.object(endo, "_monoid_generators", lambda g: None):
-        return count_preserving(g, ideal, total)
+        return count_preserving(ideal, total)
 
 
 def _chain_ring():
     a = group_algebra(C4)
-    return quotient(C4, ideal_span(a, [a.power(0b0011, 3)]))
+    return QuotientRing(ideal_span(a, [a.power(0b0011, 3)]))
 
 
 def _f2f4f4_ring():
@@ -84,14 +84,14 @@ def _f2f4f4_ring():
 def test_identity_always_preserves():
     for q in (_chain_ring(), _f2f4f4_ring()):
         g = q.parent_group
-        assert preserves_ideal(g, identity_hom(g), q.ideal)
+        assert preserves_ideal(identity_hom(g), q.ideal)
 
 
 def test_preserves_ideal_squaring_on_c4():
     # y -> y^2 sends 1+y+y^2+y^3 to 1+y^2+1+y^2 = 0, which lies in the ideal
     q = _chain_ring()
     squaring = GroupHom(C4, C4, ((2,),))
-    assert preserves_ideal(C4, squaring, q.ideal)
+    assert preserves_ideal(squaring, q.ideal)
     amb = group_algebra(C4)
     image = amb.one_vector ^ (1 << 2) ^ amb.one_vector ^ (1 << 2)
     assert image == 0
@@ -99,17 +99,17 @@ def test_preserves_ideal_squaring_on_c4():
 
 def test_preserves_ideal_counts_25_of_81():
     q = _f2f4f4_ring()
-    kept = [h for h in enumerate_endos(C33) if preserves_ideal(C33, h, q.ideal)]
+    kept = [h for h in enumerate_endos(C33) if preserves_ideal(h, q.ideal)]
     assert len(kept) == 81 - 56 == 25
 
 
 def _oracle_rings():
     return [
-        quotient(C2, ideal_span(group_algebra(C2), [])),
-        quotient(C3, ideal_span(group_algebra(C3), [])),
+        QuotientRing(ideal_span(group_algebra(C2), [])),
+        QuotientRing(ideal_span(group_algebra(C3), [])),
         _chain_ring(),
-        quotient(GroupSpec((2, 2)), a24_ideal(2, False)),
-        quotient(GroupSpec((2, 2, 2)), a24_ideal(3, False)),
+        QuotientRing(a24_ideal(2, False)),
+        QuotientRing(a24_ideal(3, False)),
         present_over(C3, field_algebra(2), [0b10]),
     ]
 
@@ -117,12 +117,12 @@ def _oracle_rings():
 def test_generator_and_basis_checks_agree():
     # count_preserving and ring_endos, which share the engine's lift test,
     # against the reference, endomorphism by endomorphism
-    rings = _oracle_rings() + [_f2f4f4_ring(), quotient(GroupSpec((2, 4)), a24_ideal(1, True))]
+    rings = _oracle_rings() + [_f2f4f4_ring(), QuotientRing(a24_ideal(1, True))]
     for q in rings:
         g = q.parent_group
         homs = enumerate_endos(g)
         by_basis = [_preserves_reference(g, h, q.ideal) for h in homs]
-        preserved, first_fail = count_preserving(g, q.ideal, endo_count(g))
+        preserved, first_fail = count_preserving(q.ideal, endo_count(g))
         assert preserved == sum(by_basis)
         expected_first = next((i for i, ok in enumerate(by_basis) if not ok), None)
         assert first_fail == expected_first
@@ -132,31 +132,38 @@ def test_generator_and_basis_checks_agree():
 
 def test_preserves_ideal_refuses_a_map_of_another_group():
     ideal = ideal_span(group_algebra(C3), [])
-    with pytest.raises(ValueError, match="endomorphism of g"):
-        preserves_ideal(C3, GroupHom(C2, C2, ((1,),)), ideal)
-    with pytest.raises(ValueError, match="endomorphism of g"):
-        preserves_ideal(C3, GroupHom(C3, GroupSpec((6,)), ((2,),)), ideal)
+    with pytest.raises(ValueError, match="endomorphism of C3"):
+        preserves_ideal(GroupHom(C2, C2, ((1,),)), ideal)
+    with pytest.raises(ValueError, match="endomorphism of C3"):
+        preserves_ideal(GroupHom(C3, GroupSpec((6,)), ((2,),)), ideal)
 
 
-def test_every_endo_lifts_refuses_an_ideal_outside_a_group_algebra():
+@pytest.mark.parametrize("call", [
+    QuotientRing,
+    lambda ideal: preserves_ideal(identity_hom(C3), ideal),
+    lambda ideal: count_preserving(ideal, 1),
+    endo.every_endo_lifts,
+], ids=["QuotientRing", "preserves_ideal", "count_preserving", "every_endo_lifts"])
+def test_the_engine_refuses_an_ideal_outside_a_group_algebra(call):
+    # the engine reads G off the ideal, so an ideal of F4 has none to give
     with pytest.raises(ValueError, match="group algebra"):
-        endo.every_endo_lifts(ideal_span(field_algebra(2), []))
+        call(ideal_span(field_algebra(2), []))
 
 
 def test_count_preserving_refuses_a_total_outside_end():
     # the walk: 25 of the 81 endomorphisms lift, and no 162 exist to count
     q = _f2f4f4_ring()
-    assert count_preserving(C33, q.ideal, 81) == (25, 10)
+    assert count_preserving(q.ideal, 81) == (25, 10)
     for total in (82, 162, -1):
         with pytest.raises(ValueError, match="outside"):
-            count_preserving(C33, q.ideal, total)
+            count_preserving(q.ideal, total)
     # the monoid generators: every map preserves the zero ideal of F2[C2^2]
     c22 = GroupSpec((2, 2))
     zero = ideal_span(group_algebra(c22), [])
-    assert count_preserving(c22, zero, 16) == (16, None)
+    assert count_preserving(zero, 16) == (16, None)
     for total in (17, 100, -1):
         with pytest.raises(ValueError, match="outside"):
-            count_preserving(c22, zero, total)
+            count_preserving(zero, total)
 
 
 def test_ring_endos_counts():
@@ -168,14 +175,14 @@ def test_ring_endos_counts():
 def test_ring_endos_requires_unit_group_match():
     # F2[C2 x C2] has 8 units but the group has only 4 elements
     c22 = GroupSpec((2, 2))
-    q = quotient(c22, ideal_span(group_algebra(c22), []))
+    q = QuotientRing(ideal_span(group_algebra(c22), []))
     assert not q.units_are_group
     with pytest.raises(UnitGroupMismatchError):
         ring_endos(q)
 
 
 def test_fully_realizes_f2c2():
-    q = quotient(C2, ideal_span(group_algebra(C2), []))
+    q = QuotientRing(ideal_span(group_algebra(C2), []))
     rep = fully_realizes(q, C2)
     assert rep.fully_realizes and rep.unit_group_ok
     assert (rep.realized_endos, rep.total_endos) == (2, 2)
@@ -188,11 +195,11 @@ def test_fully_realizes_c3xc3_witness():
     assert (rep.realized_endos, rep.total_endos) == (25, 81)
     witness = rep.failing_witness
     assert witness is not None
-    assert not preserves_ideal(C33, witness, _f2f4f4_ring().ideal)
+    assert not preserves_ideal(witness, _f2f4f4_ring().ideal)
     # determinism: the witness is the first failure in enumeration order
     first = next(
         h for h in enumerate_endos(C33)
-        if not preserves_ideal(C33, h, _f2f4f4_ring().ideal)
+        if not preserves_ideal(h, _f2f4f4_ring().ideal)
     )
     assert witness == first
 
@@ -210,7 +217,7 @@ def test_products_fail_instance():
     b = product_element(comps, [0b001, 0b10])
     q = present_over(C33, target, [a, b])
     psi = GroupHom(C33, C33, ((1, 1), (0, 1)))  # (u, v) -> (u, uv)
-    assert not preserves_ideal(C33, psi, q.ideal)
+    assert not preserves_ideal(psi, q.ideal)
     rep = fully_realizes(q, C33)
     assert rep.unit_group_ok and not rep.fully_realizes
     assert rep.realized_endos == 25
@@ -219,7 +226,7 @@ def test_products_fail_instance():
 def test_realized_sets_closed_under_composition():
     rings = [
         _f2f4f4_ring(),
-        quotient(GroupSpec((2, 4)), a24_ideal(1, True)),
+        QuotientRing(a24_ideal(1, True)),
     ]
     for q in rings:
         kept = ring_endos(q)
@@ -235,10 +242,10 @@ def test_endo_budget():
     # sends 1 + v_4 to 1 + v_0, outside the ideal (1 + v_4)
     big = GroupSpec((2,) * 5)
     amb = group_algebra(big)
-    q = quotient(big, ideal_span(amb, [amb.one_vector ^ 0b10]))
+    q = QuotientRing(ideal_span(amb, [amb.one_vector ^ 0b10]))
     with pytest.raises(BudgetExceededError):
         fully_realizes(q, big, max_endos=10**6)
-    rep = fully_realizes(quotient(big, a24_ideal(5, False)), big, max_endos=10**6)
+    rep = fully_realizes(QuotientRing(a24_ideal(5, False)), big, max_endos=10**6)
     assert rep.fully_realizes and rep.realized_endos == rep.total_endos == 2**25
 
 
@@ -273,7 +280,7 @@ def test_scan_matches_preserves_ideal_on_random_ideals():
             ideal = ideal_span(amb, vectors)
             verdicts = [_preserves_reference(g, h, ideal) for h in homs]
             first_fail = next((i for i, ok in enumerate(verdicts) if not ok), None)
-            assert count_preserving(g, ideal, len(homs)) == (sum(verdicts), first_fail)
+            assert count_preserving(ideal, len(homs)) == (sum(verdicts), first_fail)
             failures += first_fail is not None
     assert failures > 0
 
@@ -311,7 +318,7 @@ def test_walk_matches_preserves_ideal_on_random_presentations(data):
     ideal = ideal_span(amb, vectors)
     homs = enumerate_endos(g)
     expected = [_preserves_reference(g, h, ideal) for h in homs]
-    lifts = _lift_check(g, ideal)
+    lifts = _lift_check(ideal)
     assert [lifts(images) for images in itertools.product(*image_candidates(g))] == expected
     first_fail = next((i for i, ok in enumerate(expected) if not ok), None)
     assert _walk(g, ideal, len(homs)) == (sum(expected), first_fail)
@@ -324,14 +331,14 @@ def test_witness_index_reconstruction():
     g = GroupSpec((2, 4))
     homs = enumerate_endos(g)
     amb = group_algebra(g)
-    q = quotient(g, ideal_span(amb, [amb.mul(0b11, 1 | 1 << 5)]))
+    q = QuotientRing(ideal_span(amb, [amb.mul(0b11, 1 | 1 << 5)]))
     verdicts = [_preserves_reference(g, h, q.ideal) for h in homs]
     realized, first_fail = _walk(g, q.ideal, len(homs))
     assert (realized, first_fail) == (sum(verdicts), verdicts.index(False)) == (24, 1)
     rep = fully_realizes(q, g)
     assert rep.failing_witness == homs[first_fail]
     assert ring_endos(q) == [h for h, ok in zip(homs, verdicts) if ok]
-    assert ring_endos(quotient(g, a24_ideal(1, True))) == homs
+    assert ring_endos(QuotientRing(a24_ideal(1, True))) == homs
 
 
 # every presentation (2,)*a + (4,)? + (3,)? with a <= 4 and |End| <= 131,072

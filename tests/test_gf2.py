@@ -41,8 +41,8 @@ def test_rref_pivots_are_strict_and_reduced(rows):
 @settings(derandomize=True)
 @given(vectors, st.lists(st.integers(min_value=0, max_value=(1 << 12) - 1), max_size=6))
 def test_rref_extends_an_rref_start_as_the_concatenation(start_rows, rows):
-    # ideal_sum inserts the smaller basis into the larger one without
-    # eliminating the larger one again
+    # the search's sum of two ideals, constructions._join, inserts the smaller
+    # basis into the larger one without eliminating the larger one again
     start = gf2.rref(start_rows)
     assert gf2.rref(rows, start) == gf2.rref(list(start) + rows)
     assert gf2.rref(iter(rows), start) == gf2.rref(start_rows + rows)
