@@ -549,16 +549,16 @@ class QuotientRing:
         return unit_group_invariants(self.quotient_algebra)
 
 
-def unit_embedding_basis(g: GroupSpec, target: Algebra,
-                         images: list[AlgebraElement]) -> tuple[int, ...]:
-    """RREF basis of the kernel of the ring map F2[g] -> target sending
-    generator j to images[j].
+def present_over(g: GroupSpec, target: Algebra, images: list[AlgebraElement]) -> QuotientRing:
+    """The subring of `target` generated by unit images of g's generators,
+    presented as F2[g] modulo the kernel of F2[g] -> target.
 
-    The images must be units of the target whose multiplicative orders
-    divide the matching factor orders; u^d = 1 alone makes u a unit, with
-    inverse u^(d-1). The basis is not validated as an ideal: the kernel of
-    a ring map is one, and a caller that drops duplicate kernels validates
-    only the new ones.
+    This is the package's one builder for rings generated by unit images:
+    products of rings (images (u, 1) and (1, v)), the C3 witness and the
+    subring generated by given units all come through it. The images must
+    be units of the target whose multiplicative orders divide the matching
+    factor orders; u^d = 1 alone makes u a unit, with inverse u^(d-1). The
+    kernel of a ring map is an ideal, so it is wrapped without revalidation.
     """
     if not g.is_finite:
         raise InfiniteGroupError("unit embeddings are materialized for finite groups only")
@@ -576,19 +576,6 @@ def unit_embedding_basis(g: GroupSpec, target: Algebra,
         for _ in range(d - 1):
             layers.append([target.mul(v, u) for v in layers[-1]])
         elem_images = [v for column in zip(*layers) for v in column]
-    return gf2.kernel_of_images(elem_images, target.dim)
-
-
-def present_over(g: GroupSpec, target: Algebra, images: list[AlgebraElement]) -> QuotientRing:
-    """The subring of `target` generated by unit images of g's generators,
-    presented as F2[g] modulo the kernel of F2[g] -> target.
-
-    This is the package's one builder for rings generated by unit images:
-    products of rings (images (u, 1) and (1, v)), the C3 witness and the
-    subring generated by given units all come through it. The images are
-    checked by unit_embedding_basis; the kernel of a ring map is an ideal,
-    so it is wrapped without revalidation.
-    """
-    basis = unit_embedding_basis(g, target, images)
+    basis = gf2.kernel_of_images(elem_images, target.dim)
     kernel = _trusted(Ideal, ambient=group_algebra(g), rref_basis=basis)
     return QuotientRing(kernel)

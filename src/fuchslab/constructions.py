@@ -3,7 +3,8 @@
 The oracle answers full realizability symbolically from the invariant-factor
 shape of the group; the builders manufacture the witness quotients for the
 positive finite verdicts; the searches mechanize desk-scale evidence for the
-negative ones, honestly flagged non-exhaustive outside chain rings.
+negative ones, exhaustive with the chain pool on every group whose 2-part is
+cyclic, and honestly flagged non-exhaustive elsewhere.
 """
 
 from __future__ import annotations
@@ -20,6 +21,7 @@ from .algebra import (
     Algebra,
     Ideal,
     QuotientRing,
+    _blocks,
     _trusted,
     field_algebra,
     group_algebra,
@@ -27,7 +29,6 @@ from .algebra import (
     present_over,
     product_algebra,
     product_element,
-    unit_embedding_basis,
 )
 from .endo import every_endo_lifts
 from .errors import (
@@ -220,28 +221,49 @@ def star_ideal(rank: int, with_c4: bool) -> Ideal:
 
 
 @lru_cache(maxsize=8)
-def chain_ring_ideals(k: int) -> tuple[Ideal, ...]:
-    """All 2^k + 1 ideals of F2[C_{2^k}], namely ((x+1)^j) for j = 0..2^k.
+def chain_ring_ideals(g: GroupSpec) -> tuple[Ideal, ...]:
+    """Every ideal of F2[g], for |g| <= 16 with a cyclic 2-part: g = P x H,
+    with P = C_{2^k} and H of odd order.
+
+    Each block F2[g]e, for a primitive idempotent e of _blocks, is the chain
+    ring F_q[s]/(s^(2^k)) with s = 1 + y for a generator y of P (see
+    _block_unit_count); for odd g, y is the identity and s = 0. The ideals
+    are those generated by the e*s^j_e, one j_e in 0..2^k per block, in
+    itertools.product order. For C_{2^k}, e = 1: the ideals ((x+1)^j).
 
     Completeness is not assumed: a structural certificate, checked on the
     dimensions of the listed ideals, proves that no other ideal exists.
-    """
-    if not 1 <= k <= 4:
-        raise BudgetExceededError(f"chain sweep supports k in 1..4, got {k}")
-    spec = GroupSpec((2**k,))
-    amb = group_algebra(spec)
-    s = amb.one_vector ^ _vec(spec, (1,))
-    ideals = tuple(ideal_span(amb, [amb.power(s, j)]) for j in range(amb.dim + 1))
 
-    # Certificate: dim (s^j) = 2^k - j for j = 0..2^k. Then dim (s^2^k) = 0,
-    # so s is nilpotent, and dim (s) = 2^k - 1 gives A/(s) = F2, so every
-    # element outside (s) is 1 + nilpotent, which is a unit. An e in (s^v)
-    # but not in (s^(v+1)) is s^v * a with a outside (s), that is s^v times
-    # a unit, so e generates (s^v). Any ideal therefore equals (s^v) for the
-    # minimal valuation v of its elements, and the list is complete; the
-    # dimensions also show that its 2^k + 1 ideals are distinct.
-    if [i.dim for i in ideals] != list(range(amb.dim, -1, -1)):
-        raise FuchslabError(f"(x+1)-power ideals of F2[C{amb.dim}] have unexpected dimensions")
+    >>> len(chain_ring_ideals(GroupSpec((12,))))
+    25
+    """
+    order_within(g, 16, "the search bound 16")
+    evens = [d for d in g.finite_orders if d % 2 == 0]
+    if len(evens) > 1:
+        raise GroupSyntaxError("chain pool needs a group whose 2-part is cyclic")
+    amb = group_algebra(g)
+    size = evens[0] & -evens[0] if evens else 1  # |P|
+    # y has order |P| in the even factor; for odd g it is the identity
+    s = amb.one_vector ^ _vec(g, tuple(d // size if d % 2 == 0 else 0 for d in g.finite_orders))
+    blocks = [(images[0], f) for images, f in _blocks(g)]  # images[0] is e*1 = e
+    vectors = list(itertools.product(range(size + 1), repeat=len(blocks)))
+    ideals = tuple(ideal_span(amb, [amb.mul(e, amb.power(s, j)) for (e, _), j in zip(blocks, js)])
+                   for js in vectors)
+
+    # Certificate: dim = sum f_e (2^k - j_e) for every listed ideal. With
+    # j = 2^k on the other blocks, the ideal (e s^j) of the block A_e =
+    # F2[g]e has dimension f_e (2^k - j), j = 0..2^k. So e s is nilpotent,
+    # and A_e/(e s), of dimension f_e, is the image of the field F2[H]e of
+    # the same dimension (y = 1 mod s), so it is that field. An element of
+    # A_e outside (e s) is then invertible modulo a nilpotent ideal, so a
+    # unit of A_e. An x in (e s^v) but not in (e s^(v+1)) is e s^v times
+    # such a unit, so it generates (e s^v). Any ideal of A_e is thus (e s^v)
+    # for the minimal valuation v of its elements, and an ideal I of F2[g]
+    # is the sum of its parts Ie, as the e sum to 1. So the list is
+    # complete, and the dimensions of the Ie show its ideals are distinct.
+    for ideal, js in zip(ideals, vectors):
+        if ideal.dim != sum(f * (size - j) for (_, f), j in zip(blocks, js)):
+            raise FuchslabError(f"block ideals of F2[{g}] have unexpected dimensions")
     return ideals
 
 
@@ -316,10 +338,12 @@ def ring_from_recipe(recipe: str) -> tuple[GroupSpec, QuotientRing]:
             k, j = _int_arg(args, "k"), _int_arg(args, "j")
             if k < 1:
                 raise GroupSyntaxError(f"chain exponent k={k} is below 1")
-            ideals = chain_ring_ideals(k)
+            if k > 4:  # before 2**k is built
+                raise BudgetExceededError(f"chain sweep supports k in 1..4, got {k}")
+            spec = GroupSpec((2**k,))
+            ideals = chain_ring_ideals(spec)
             if not 1 <= j <= 2**k:
                 raise GroupSyntaxError(f"chain power j={j} outside 1..{2**k}")
-            spec = GroupSpec((2**k,))
             return spec, QuotientRing(ideals[j])
         rank = _int_arg(args, "rank")
     except KeyError as exc:
@@ -429,38 +453,14 @@ def _subset_ideals(amb: Algebra, pool: list[int], budget: int):
             return
 
 
-def _fieldprod_kernels(spec: GroupSpec, budget: int):
-    seen: set[tuple[int, ...]] = set()
-    produced = 0
-    for n_factors in range(1, 5):
-        for n_f4 in range(n_factors + 1):
-            n_f2 = n_factors - n_f4
-            factors = [field_algebra(1)] * n_f2 + [field_algebra(2)] * n_f4
-            target = product_algebra(factors)
-            # the units of a product of fields are its elements with no zero component
-            all_units = [product_element(factors, c) for c in itertools.product(
-                *(range(1, 1 << f.dim) for f in factors))]
-            unit_sets = [sorted(u for u in all_units if target.power(u, d) == target.one_vector)
-                         for d in spec.finite_orders]
-            for images in itertools.product(*unit_sets):
-                basis = unit_embedding_basis(spec, target, list(images))
-                if basis in seen:
-                    continue
-                seen.add(basis)
-                # validated by the public constructor, once per distinct kernel
-                yield Ideal(group_algebra(spec), basis)
-                produced += 1
-                if produced >= budget:
-                    return
-
-
-POOLS = ("default", "chain", "fieldprod")
+POOLS = ("default", "chain")
 
 
 def bounded_ideal_search(g: GroupSpec, pool: str = "default", budget: int = 256) -> SearchReport:
     """Sweep ideals from the selected pool, quotient the admissible ones, and
     count how many realize / fully realize g. Exhaustive only for the chain
-    pool on cyclic 2-groups, where the ideal list is provably complete.
+    pool, on a group whose 2-part is cyclic, when the budget covers its
+    ideal list, which chain_ring_ideals proves complete.
 
     A quotient realizes g when its units are exactly the image of G, which
     units_are_group decides by counting them. It fully realizes g when
@@ -475,21 +475,16 @@ def bounded_ideal_search(g: GroupSpec, pool: str = "default", budget: int = 256)
         raise InfiniteGroupError("searches need a finite group")
     order = order_within(c, 16, "the search bound 16")
     amb = group_algebra(c)
-    chain_k = None
-    if len(c.finite_orders) == 1 and prime_power_split(c.finite_orders[0]).keys() == {2}:
-        chain_k = prime_power_split(c.finite_orders[0])[2]
 
+    exhaustive = False
     if pool == "default":
         stream = _subset_ideals(amb, _default_pool(c, amb), budget)
         description = "default[(1+g)(1+h), (1+g)^j subsets]"
     elif pool == "chain":
-        if chain_k is None:
-            raise GroupSyntaxError("chain pool needs a cyclic 2-group")
-        stream = iter(chain_ring_ideals(chain_k)[:budget])
+        ideals = chain_ring_ideals(c)
+        stream = ideals[:budget]
+        exhaustive = budget >= len(ideals)
         description = "chain[(x+1)^j]"
-    elif pool == "fieldprod":
-        stream = _fieldprod_kernels(c, budget)
-        description = "fieldprod[unit-embedding kernels into F2^a x F4^b, a+b<=4]"
     else:
         raise GroupSyntaxError(f"unknown pool {pool!r}; choose from {POOLS}")
 
@@ -506,7 +501,6 @@ def bounded_ideal_search(g: GroupSpec, pool: str = "default", budget: int = 256)
             continue
         realizing += 1
         fully += every_endo_lifts(ideal)
-    exhaustive = pool == "chain" and chain_k is not None and budget >= 2**chain_k + 1
     return SearchReport(
         group=c,
         pool_description=description,

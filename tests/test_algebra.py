@@ -189,7 +189,7 @@ def test_trusted_builds_pass_the_public_checks():
     for ideal in _subset_ideals(amb, _default_pool(c44, amb), 256):
         Ideal(amb, ideal.rref_basis)
     # present_over wraps a ring map's kernel without validating it: every
-    # witness it presents, and every fieldprod target over C3 x C3 and C6
+    # witness it presents, and random unit images in F2 x F4 x F4 over C3 x C3 and C6
     for text in ("C3", "C6", "C12", "C2 x C6", "C2 x C12", "C2^2 x C6", "C2^2 x C12",
                  "C2^3 x C6"):
         q = construct_witness(parse_group(text))

@@ -249,6 +249,27 @@ def test_recipe_c4_flag_must_be_boolean(capsys):
     assert "c4='maybe'" in err
 
 
+def test_search_refuses_the_deleted_fieldprod_pool(capsys):
+    # argparse refuses the choice: its usage lines, then one error line
+    assert run(["search", "C3 x C3", "--pool", "fieldprod"]) == EXIT_USAGE
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    errors = [line for line in captured.err.splitlines() if "error" in line]
+    assert len(errors) == 1 and "invalid choice: 'fieldprod'" in errors[0]
+    assert "Traceback" not in captured.err
+
+
+def test_search_chain_pool_beyond_cyclic_two_groups(capsys):
+    # the chain list holds the zero ideal, so F2[C3] itself is found
+    code, report = _run_json(capsys, ["search", "C3", "--pool", "chain"])
+    assert code == EXIT_OK
+    assert report["exhaustive"] is True
+    assert (report["ideals_examined"], report["fully_realizing_found"]) == (4, 1)
+    code, err = _one_line_error(capsys, ["search", "C2 x C4", "--pool", "chain"])
+    assert code == EXIT_USAGE
+    assert "2-part is cyclic" in err
+
+
 def test_search_budget_below_one(capsys):
     for budget in ("-5", "0"):
         assert run(["search", "C16", "--pool", "chain", "--budget", budget]) == EXIT_USAGE

@@ -43,12 +43,11 @@ from fuchslab import (
 from fuchslab import algebra, constructions, endo, gf2
 from fuchslab.constructions import (
     _default_pool,
-    _fieldprod_kernels,
     _pair_vector,
     _subset_ideals,
     _vec,
 )
-from fuchslab.groups import element_index, elements, identity_element
+from fuchslab.groups import element_index, elements, identity_element, render_group
 
 
 # --- classification oracle -------------------------------------------------
@@ -315,14 +314,14 @@ def test_c3_witness_is_the_kernel_onto_the_product(text):
 
 def test_chain_ring_ideal_counts():
     for k in (1, 2, 3, 4):
-        assert len(chain_ring_ideals(k)) == 2**k + 1
+        assert len(chain_ring_ideals(GroupSpec((2**k,)))) == 2**k + 1
 
 
 def test_chain_ring_unit_sweep():
     for k, expected_hits in ((2, [3]), (3, []), (4, [])):
         spec = GroupSpec((2**k,))
         hits = []
-        for j, ideal in enumerate(chain_ring_ideals(k)):
+        for j, ideal in enumerate(chain_ring_ideals(spec)):
             if ideal.contains(1):
                 continue
             qa = QuotientRing(ideal).quotient_algebra
@@ -332,8 +331,14 @@ def test_chain_ring_unit_sweep():
 
 
 def test_chain_ring_budget():
-    with pytest.raises(BudgetExceededError):
-        chain_ring_ideals(5)
+    with pytest.raises(BudgetExceededError, match="the search bound 16"):
+        chain_ring_ideals(GroupSpec((32,)))
+    with pytest.raises(BudgetExceededError, match="the search bound 16"):
+        chain_ring_ideals(GroupSpec((3, 7)))
+    with pytest.raises(GroupSyntaxError, match="2-part is cyclic"):
+        chain_ring_ideals(GroupSpec((2, 2)))
+    with pytest.raises(GroupSyntaxError, match="2-part is cyclic"):
+        chain_ring_ideals(GroupSpec((2, 6)))
 
 
 def _x_plus_1_valuation(e):
@@ -355,7 +360,7 @@ def test_chain_ring_ideals_brute_force(k):
     # ideal of its (x+1)-valuation, so no ideal is missing from the list
     n = 2**k
     mask = (1 << n) - 1
-    ideals = chain_ring_ideals(k)
+    ideals = chain_ring_ideals(GroupSpec((n,)))
     for e in range(1, 1 << n):
         rotations = [((e << i) | (e >> (n - i))) & mask for i in range(n)]
         assert gf2.rref(rotations) == ideals[_x_plus_1_valuation(e)].rref_basis
@@ -364,7 +369,8 @@ def test_chain_ring_ideals_brute_force(k):
 @pytest.mark.parametrize("k", [1, 2, 3, 4])
 def test_chain_ring_certificate_rejects_a_wrong_power(monkeypatch, k):
     # the ideal of (x+1)^j comes back as that of (x+1)^(j-1), one dim too big
-    amb = group_algebra(GroupSpec((2**k,)))
+    spec = GroupSpec((2**k,))
+    amb = group_algebra(spec)
     j = 2 ** (k - 1)
     wrong, right = amb.power(0b11, j), amb.power(0b11, j - 1)
     real_span = constructions.ideal_span
@@ -376,11 +382,76 @@ def test_chain_ring_certificate_rejects_a_wrong_power(monkeypatch, k):
     monkeypatch.setattr(constructions, "ideal_span", mutated_span)
     try:
         with pytest.raises(FuchslabError):
-            chain_ring_ideals(k)
+            chain_ring_ideals(spec)
     finally:
         monkeypatch.undo()
         chain_ring_ideals.cache_clear()
-    assert len(chain_ring_ideals(k)) == 2**k + 1
+    assert len(chain_ring_ideals(spec)) == 2**k + 1
+
+
+@pytest.mark.parametrize("text", ["C12", "C3 x C3", "C15"])
+def test_block_certificate_rejects_a_dropped_block(monkeypatch, text):
+    # the last block's idempotent e is dropped from any list of generators
+    # with another nonzero member, so the ideal of (e', e) comes back as (e'):
+    # the certificate must see the lost dimensions
+    g = parse_group(text)
+    e = algebra._blocks(g)[-1][0][0]
+    real_span = constructions.ideal_span
+
+    def mutated_span(a, gens):
+        gens = list(gens)
+        if e in gens and sum(1 for v in gens if v) > 1:
+            gens.remove(e)
+        return real_span(a, gens)
+
+    chain_ring_ideals.cache_clear()
+    monkeypatch.setattr(constructions, "ideal_span", mutated_span)
+    try:
+        with pytest.raises(FuchslabError, match="unexpected dimensions"):
+            chain_ring_ideals(g)
+    finally:
+        monkeypatch.undo()
+        chain_ring_ideals.cache_clear()
+    assert len(chain_ring_ideals(g)) > 1
+
+
+def _cyclic_two_part(g):
+    return sum(1 for d in g.finite_orders if d % 2 == 0) <= 1
+
+
+# the 17 groups of order <= 16 whose 2-part (Sylow 2-subgroup) is cyclic
+CYCLIC_TWO_PART = [canonicalize(GroupSpec(m)) for m in
+                   [()] + [(n,) for n in range(2, 17)] + [(3, 3)]]
+
+
+@pytest.mark.parametrize("g", CYCLIC_TWO_PART, ids=render_group)
+def test_chain_search_is_exhaustive_and_agrees_with_classify(g):
+    ideals = chain_ring_ideals(g)
+    assert len({i.rref_basis for i in ideals}) == len(ideals)
+    report = bounded_ideal_search(g, pool="chain")
+    assert report.exhaustive and report.ideals_examined == len(ideals)
+    assert (report.fully_realizing_found > 0) == classify(g).fully_realizable
+    if classify(g).fully_realizable:
+        assert report.fully_realizing_found == 1
+
+
+@pytest.mark.parametrize("g", [g for g in CYCLIC_TWO_PART if g.torsion_order <= 12],
+                         ids=render_group)
+def test_chain_ring_ideals_are_the_principal_ideals(g):
+    # F2[g] is a product of chain rings, so every ideal is principal: the
+    # list is the set of ideals spanned by each of the 2^|g| elements
+    amb = group_algebra(g)
+    principal = {ideal_span(amb, [v]).rref_basis for v in range(1 << amb.dim)}
+    listed = [i.rref_basis for i in chain_ring_ideals(g)]
+    assert len(listed) == len(principal) and set(listed) == principal
+
+
+def test_chain_ring_ideals_of_c12():
+    ideals = chain_ring_ideals(GroupSpec((12,)))
+    # F2[C12] = F2[C4] x F4[C4]: blocks of f = 1 and 2, and 5 x 5 ideals
+    assert sorted(f for _, f in algebra._blocks(GroupSpec((12,)))) == [1, 2]
+    assert len(ideals) == 25
+    assert [i.dim for i in ideals[:5]] == [12, 11, 10, 9, 8]
 
 
 # --- witnesses and recipes ------------------------------------------------------
@@ -487,11 +558,21 @@ def test_search_c4xc4_default_pool():
     assert report.ideals_examined > 0
 
 
-def test_search_c3xc3_fieldprod_pool():
-    report = bounded_ideal_search(parse_group("C3 x C3"), pool="fieldprod", budget=4096)
-    assert report.fully_realizing_found == 0
-    assert report.realizing_found > 0  # C3 x C3 is realizable, just not fully
-    assert not report.exhaustive
+def test_search_c3xc3_chain_pool():
+    report = bounded_ideal_search(parse_group("C3 x C3"), pool="chain")
+    # C3 x C3 is realizable, just not fully
+    assert (report.ideals_examined, report.realizing_found, report.fully_realizing_found) == (
+        32, 12, 0)
+    assert report.exhaustive
+    assert not bounded_ideal_search(parse_group("C3 x C3"), pool="chain", budget=31).exhaustive
+
+
+def test_search_c3_chain_pool_finds_the_group_algebra():
+    # the chain list holds the zero ideal, so F2[C3] itself is examined
+    report = bounded_ideal_search(parse_group("C3"), pool="chain")
+    assert report.exhaustive
+    assert (report.ideals_examined, report.realizing_found, report.fully_realizing_found) == (
+        4, 2, 1)
 
 
 def test_search_rejects_bad_input():
@@ -499,10 +580,12 @@ def test_search_rejects_bad_input():
         bounded_ideal_search(GroupSpec((2,) * 5))
     with pytest.raises(GroupSyntaxError):
         bounded_ideal_search(GroupSpec((4,)), pool="nonsense")
-    with pytest.raises(GroupSyntaxError):
-        bounded_ideal_search(GroupSpec((3, 3)), pool="chain")
-    # a slice [:-1] would examine 4 of C4's 5 chain ideals; fieldprod yields one first
-    for pool in ("chain", "fieldprod", "default"):
+    with pytest.raises(GroupSyntaxError, match="2-part is cyclic"):
+        bounded_ideal_search(GroupSpec((2, 2)), pool="chain")
+    with pytest.raises(GroupSyntaxError, match="unknown pool 'fieldprod'"):
+        bounded_ideal_search(GroupSpec((3, 3)), pool="fieldprod")
+    # a slice [:-1] would examine 4 of C4's 5 chain ideals
+    for pool in ("chain", "default"):
         for budget in (0, -1):
             with pytest.raises(ValueError, match="below 1"):
                 bounded_ideal_search(GroupSpec((4,)), pool=pool, budget=budget)
@@ -662,7 +745,8 @@ def test_unit_to_group_is_the_search_unit_check(text, realizable):
     g = parse_group(text)
     amb = group_algebra(g)
     ideals = list(_subset_ideals(amb, _default_pool(g, amb), 64))
-    ideals += list(_fieldprod_kernels(g, 64))
+    if _cyclic_two_part(g):
+        ideals += chain_ring_ideals(g)
     hits = 0
     for ideal in ideals:
         if ideal.contains(amb.one_vector):
