@@ -132,14 +132,10 @@ def _vec(spec: GroupSpec, e: GroupElement) -> int:
     return 1 << element_index(spec, e)
 
 
-def _pair_vector(spec: GroupSpec, a: GroupElement, b: GroupElement) -> int:
-    """(1 + a)(1 + b) = 1 + a + b + ab as a group-algebra vector."""
-    return (
-        _vec(spec, identity_element(spec))
-        ^ _vec(spec, a)
-        ^ _vec(spec, b)
-        ^ _vec(spec, add_elements(spec, a, b))
-    )
+def _pair_vector(amb: Algebra, i: int, j: int) -> int:
+    """(1 + g)(1 + h) = 1 + g + h + gh in a group algebra, for the group
+    elements g, h of basis indices i, j (the identity is basis 0)."""
+    return 1 ^ 1 << i ^ 1 << j ^ amb.mult_table[i][j]
 
 
 def _within_witness_budget(twos: int, rest: int, budget: int = DEFAULT_WITNESS_MAX_ORDER) -> None:
@@ -160,36 +156,34 @@ def _a24_spec(rank: int, with_c4: bool, budget: int) -> GroupSpec:
 
 
 def a24_ideal(rank: int, with_c4: bool) -> Ideal:
-    """The witness ideal for C2^rank (x C4): cross terms (1 + x_J)(1 + y^r),
-    the pair family 1 + x_A + x_B + x_A x_B, and 1 + y + y^2 + y^3.
+    """The witness ideal for C2^rank (x C4), spanned by
+    - the pair family (1 + x_A)(1 + x_B), over unordered pairs of distinct
+      nonempty sets A, B of C2 coordinates, x_A being 1 on A and 0 elsewhere;
+    - with C4 = <y>, the cross terms (1 + x_J)(1 + y^r), over nonempty J and
+      r = 1..3, and 1 + y + y^2 + y^3.
 
-    Without the C4 factor only the pair family remains; its quotient has
-    unit group C2^rank and dimension rank + 1. Refused over the witness budget.
+    The ordered family over all sets and r = 0..3 spans the same ideal, as
+    its other members are 0 or repeats: 1 + x_A = 0 for empty A and
+    1 + y^0 = 0; (1 + x_A)^2 = 1 + x_A^2 = 0; and (1 + x_B)(1 + x_A) repeats
+    (1 + x_A)(1 + x_B). Without the C4 factor only the pair family remains;
+    its quotient has unit group C2^rank and dimension rank + 1. Refused over
+    the witness budget.
+
+    >>> a24_ideal(3, False).dim
+    4
     """
     spec = _a24_spec(rank, with_c4, DEFAULT_WITNESS_MAX_ORDER)
-    r = spec.rank
-
-    def x_subset(subset: tuple[int, ...]) -> GroupElement:
-        return tuple(1 if t in subset else 0 for t in range(r))
-
-    subsets = [
-        s
-        for size in range(rank + 1)
-        for s in itertools.combinations(range(rank), size)
-    ]
-    gens: list[int] = []
-    for a_set, b_set in itertools.product(subsets, repeat=2):
-        gens.append(_pair_vector(spec, x_subset(a_set), x_subset(b_set)))
+    amb = group_algebra(spec)
+    # elements(spec) is lexicographic with y last, so y^r has index r, and
+    # x_A has the sum of the strides of A's coordinates, each step * 2^t:
+    # the nonempty A give the nonzero multiples of step below |G|
+    step = 4 if with_c4 else 1
+    xs = range(step, amb.dim, step)
+    gens = [_pair_vector(amb, a, b) for a, b in itertools.combinations(xs, 2)]
     if with_c4:
-        for j_set in subsets:
-            for power in range(4):
-                y_r = tuple(power if t == r - 1 else 0 for t in range(r))
-                gens.append(_pair_vector(spec, x_subset(j_set), y_r))
-        acc = 0
-        for power in range(4):
-            acc ^= _vec(spec, tuple(power if t == r - 1 else 0 for t in range(r)))
-        gens.append(acc)
-    return ideal_span(group_algebra(spec), gens)
+        gens += [_pair_vector(amb, j, r) for j in xs for r in (1, 2, 3)]
+        gens.append(0b1111)
+    return ideal_span(amb, gens)
 
 
 def star_ideal(rank: int, with_c4: bool) -> Ideal:
@@ -359,18 +353,17 @@ def ring_from_recipe(recipe: str) -> tuple[GroupSpec, QuotientRing]:
     return spec, construct_witness(spec)
 
 
-def _default_pool(spec: GroupSpec, amb: Algebra) -> list[int]:
-    els = elements(spec)
+def _default_pool(amb: Algebra) -> list[int]:
     pool: list[int] = []
     seen: set[int] = set()
-    for i in range(1, len(els)):
-        for j in range(i, len(els)):
-            v = _pair_vector(spec, els[i], els[j])
+    for i in range(1, amb.dim):
+        for j in range(i, amb.dim):
+            v = _pair_vector(amb, i, j)
             if v and v not in seen:
                 seen.add(v)
                 pool.append(v)
-    for i in range(1, len(els)):
-        w = amb.one_vector ^ _vec(spec, els[i])
+    for i in range(1, amb.dim):
+        w = amb.one_vector ^ 1 << i
         power = w
         walked: set[int] = set()
         while power and power not in walked:
@@ -478,13 +471,15 @@ def bounded_ideal_search(g: GroupSpec, pool: str = "default", budget: int = 256)
 
     exhaustive = False
     if pool == "default":
-        stream = _subset_ideals(amb, _default_pool(c, amb), budget)
+        stream = _subset_ideals(amb, _default_pool(amb), budget)
         description = "default[(1+g)(1+h), (1+g)^j subsets]"
     elif pool == "chain":
         ideals = chain_ring_ideals(c)
         stream = ideals[:budget]
         exhaustive = budget >= len(ideals)
-        description = "chain[(x+1)^j]"
+        # a 2-group is one block, e = 1; any other group has a block per e
+        two_group = order & (order - 1) == 0
+        description = "chain[(x+1)^j]" if two_group else "chain[e(x+1)^j per block]"
     else:
         raise GroupSyntaxError(f"unknown pool {pool!r}; choose from {POOLS}")
 

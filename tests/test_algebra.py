@@ -186,7 +186,7 @@ def test_trusted_builds_pass_the_public_checks():
             Ideal(a, ideal_span(a, gens).rref_basis)
     c44 = GroupSpec((4, 4))
     amb = group_algebra(c44)
-    for ideal in _subset_ideals(amb, _default_pool(c44, amb), 256):
+    for ideal in _subset_ideals(amb, _default_pool(amb), 256):
         Ideal(amb, ideal.rref_basis)
     # present_over wraps a ring map's kernel without validating it: every
     # witness it presents, and random unit images in F2 x F4 x F4 over C3 x C3 and C6

@@ -270,6 +270,17 @@ def test_search_chain_pool_beyond_cyclic_two_groups(capsys):
     assert "2-part is cyclic" in err
 
 
+def test_search_chain_pool_names_its_blocks(capsys):
+    # C3 x C3 has five blocks, each with its own idempotent e
+    code, report = _run_json(capsys, ["search", "C3 x C3", "--pool", "chain"])
+    assert code == EXIT_OK
+    assert report["pool"] == "chain[e(x+1)^j per block]"
+    assert report["ideals_examined"] == 32
+    # a cyclic 2-group is one block, e = 1, so its ideals are the ((x+1)^j)
+    code, report = _run_json(capsys, ["search", "C16", "--pool", "chain"])
+    assert report["pool"] == "chain[(x+1)^j]"
+
+
 def test_search_budget_below_one(capsys):
     for budget in ("-5", "0"):
         assert run(["search", "C16", "--pool", "chain", "--budget", budget]) == EXIT_USAGE

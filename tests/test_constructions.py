@@ -47,7 +47,7 @@ from fuchslab.constructions import (
     _subset_ideals,
     _vec,
 )
-from fuchslab.groups import element_index, elements, identity_element, render_group
+from fuchslab.groups import add_elements, element_index, elements, identity_element, render_group
 
 
 # --- classification oracle -------------------------------------------------
@@ -139,6 +139,38 @@ def test_a24_examples():
     assert a24_ideal(2, False).rref_basis == (0b1111,)  # 1 + x1 + x2 + x1 x2
 
 
+def _ordered_a24_ideal(rank, with_c4):
+    """The witness ideal from the ordered family over all sets of C2
+    coordinates, the empty one included, and r = 0..3, built on element
+    tuples: a24_ideal's generators plus the zeros and repeats it skips."""
+    spec = GroupSpec((2,) * rank + ((4,) if with_c4 else ()))
+    one = identity_element(spec)
+
+    def pair(a, b):
+        ab = add_elements(spec, a, b)
+        return _vec(spec, one) ^ _vec(spec, a) ^ _vec(spec, b) ^ _vec(spec, ab)
+
+    pad = (0,) if with_c4 else ()
+    xs = [bits + pad for bits in itertools.product((0, 1), repeat=rank)]
+    gens = [pair(a, b) for a in xs for b in xs]
+    if with_c4:
+        ys = [(0,) * rank + (r,) for r in range(4)]
+        gens += [pair(x, y) for x in xs for y in ys]
+        gens.append(functools.reduce(int.__xor__, (_vec(spec, y) for y in ys)))
+    return ideal_span(group_algebra(spec), gens)
+
+
+# Orders up to 32. The larger C2^4 x C4 and C2^6 are covered without the
+# oracle: a24_ideal's family is a subset of the ordered one, so it spans a
+# subideal, and test_construct_witness_positive pins each quotient's
+# dimension at the ordered family's, so the two ideals are equal.
+@pytest.mark.parametrize("rank,with_c4", [
+    (rank, with_c4) for with_c4 in (False, True) for rank in range(6 - 2 * with_c4)
+])
+def test_a24_equals_the_ordered_family(rank, with_c4):
+    assert a24_ideal(rank, with_c4).rref_basis == _ordered_a24_ideal(rank, with_c4).rref_basis
+
+
 def test_a24_budget():
     # C2^5 x C4 is the first over the witness budget 64
     with pytest.raises(BudgetExceededError, match="budget 64"):
@@ -149,8 +181,8 @@ def test_star_example_generator():
     # rank 1 with C4: the length-2 tuple (x, y^2) contributes xy^2 + x + y^2 + 1
     spec = GroupSpec((2, 4))
     star = star_ideal(1, True)
-    x, y2 = (1, 0), (0, 2)
-    assert star.contains(_pair_vector(spec, x, y2))
+    x, y2 = element_index(spec, (1, 0)), element_index(spec, (0, 2))
+    assert star.contains(_pair_vector(group_algebra(spec), x, y2))
 
 
 @pytest.mark.parametrize("rank", [0, 1, 2])
@@ -195,11 +227,13 @@ def _kgproduct_glue(parts):
     ambient = GroupSpec(tuple(d for part in parts for d in part.finite_orders))
     offsets = list(itertools.accumulate((part.rank for part in parts), initial=0))
     embedded = [
-        [(0,) * offsets[i] + a + (0,) * (ambient.rank - offsets[i + 1]) for a in elements(part)]
+        [element_index(ambient, (0,) * offsets[i] + a + (0,) * (ambient.rank - offsets[i + 1]))
+         for a in elements(part)]
         for i, part in enumerate(parts)
     ]
+    amb = group_algebra(ambient)
     return ambient, [
-        _pair_vector(ambient, a, b)
+        _pair_vector(amb, a, b)
         for first, second in itertools.combinations(embedded, 2)
         for a in first
         for b in second
@@ -639,7 +673,7 @@ def test_subset_ideals_match_a_span_per_subset(text):
     # reference: span every subset from scratch, with the same order and caps
     g = parse_group(text)
     amb = group_algebra(g)
-    pool = _default_pool(g, amb)
+    pool = _default_pool(amb)
     budget, work_cap = 256, max(8 * 256, 512)
     expected, seen = [], set()
     for size in range(1, len(pool) + 1):
@@ -665,7 +699,7 @@ def test_subset_ideals_share_sums_per_prefix_ideal(text, budget):
     # with _join, in itertools.combinations order, with the same caps and stop
     g = parse_group(text)
     amb = group_algebra(g)
-    pool = _default_pool(g, amb)
+    pool = _default_pool(amb)
     work_cap = max(8 * budget, 512)
     expected, seen = [], set()
     for size in range(1, len(pool) + 1):
@@ -704,7 +738,7 @@ def test_ideal_sum_matches_the_concatenated_rref_on_the_search_corpora(texts, mo
             return total
 
         monkeypatch.setattr(constructions, "_join", checked_join)
-        list(_subset_ideals(amb, _default_pool(g, amb), 256))
+        list(_subset_ideals(amb, _default_pool(amb), 256))
     assert len(sums) > 100
 
 
@@ -724,7 +758,7 @@ def test_subset_ideals_form_each_sum_once_per_pair_of_ideals(text, limit, monkey
     monkeypatch.setattr(constructions, "_join", counted_join)
     g = parse_group(text)
     amb = group_algebra(g)
-    list(_subset_ideals(amb, _default_pool(g, amb), 256))
+    list(_subset_ideals(amb, _default_pool(amb), 256))
     assert len(pairs) <= limit
     assert len(set(pairs)) == len(pairs)
 
@@ -744,7 +778,7 @@ def test_unit_to_group_is_the_search_unit_check(text, realizable):
     # group's invariants are G's, the implication the search relies on
     g = parse_group(text)
     amb = group_algebra(g)
-    ideals = list(_subset_ideals(amb, _default_pool(g, amb), 64))
+    ideals = list(_subset_ideals(amb, _default_pool(amb), 64))
     if _cyclic_two_part(g):
         ideals += chain_ring_ideals(g)
     hits = 0
