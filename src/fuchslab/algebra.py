@@ -24,7 +24,7 @@ from .errors import (
     OrderMismatchError,
     ZeroRingError,
 )
-from .groups import GroupSpec, canonicalize, element_order, elements
+from .groups import GroupSpec, canonicalize
 
 AlgebraElement = int
 
@@ -328,9 +328,9 @@ def units(a: Algebra) -> frozenset[AlgebraElement]:
     return frozenset(e for e in range(1, 1 << a.dim) if is_unit(a, e))
 
 
-def _local_decomposition(a: Algebra) -> tuple[list[list[int]], list[tuple[int, int]]]:
-    """The images of the basis under F^0, F^1, ..., F^K, and the pair
-    (dim a*e, dim N*e) for each primitive idempotent e.
+def _local_decomposition(a: Algebra) -> tuple[list[list[int]], list[tuple[int, int, int]]]:
+    """The images of the basis under F^0, F^1, ..., F^K, and the triple
+    (e, dim a*e, dim N*e) for each primitive idempotent e.
 
     Squaring F(x) = x^2 is F2-linear in a commutative ring of characteristic
     2. For nilpotent x the ideals x^i*a shrink strictly until they vanish
@@ -358,7 +358,7 @@ def _local_decomposition(a: Algebra) -> tuple[list[list[int]], list[tuple[int, i
             return len(space)
         return len(gf2.rref(a.mul(e, v) for v in space))
 
-    return steps, [(span_dim(e, basis), span_dim(e, nil)) for e in parts]
+    return steps, [(e, span_dim(e, basis), span_dim(e, nil)) for e in parts]
 
 
 def unit_count(a: Algebra) -> int:
@@ -369,7 +369,7 @@ def unit_count(a: Algebra) -> int:
     It works on any algebra; for a quotient of a group algebra the tests
     hold it against _block_unit_count, which units_are_group uses.
     """
-    return prod((1 << d) - (1 << n) for d, n in _local_decomposition(a)[1])
+    return prod((1 << d) - (1 << n) for _, d, n in _local_decomposition(a)[1])
 
 
 def unit_group_invariants(a: Algebra) -> tuple[int, ...]:
@@ -391,7 +391,7 @@ def unit_group_invariants(a: Algebra) -> tuple[int, ...]:
     kernel_dims = [a.dim - len(gf2.rref(step)) for step in steps]  # d_0 = 0, ..., d_K
     at_least = [d - c for c, d in zip(kernel_dims, kernel_dims[1:])]
     pieces = [1 << sum(m >= i for m in at_least) for i in range(1, max(at_least, default=0) + 1)]
-    pieces += [(1 << (d - n)) - 1 for d, n in local if d - n > 1]
+    pieces += [(1 << (d - n)) - 1 for _, d, n in local if d - n > 1]
     return canonicalize(GroupSpec(tuple(pieces))).finite_orders
 
 
@@ -406,54 +406,32 @@ def augmentation(g: GroupSpec, e: AlgebraElement) -> int:
 
 
 @lru_cache(maxsize=64)
-def _blocks(g: GroupSpec) -> tuple[tuple[tuple[int, ...], int], ...]:
-    """For each primitive idempotent e of F2[g], the products e*b over the
-    basis b, and f_e = dim F2[H]e for the odd part H of g.
-
-    The idempotents of F2[H] are the x with x^2 = x. Squaring is a bijection
-    of the odd-order group H, and x^2 is x with its coefficients moved along
-    it, so the idempotents are the sums of squaring orbits of H. Splitting 1
-    by them (each part p into p*f and p + p*f, zeros dropped) leaves the
-    primitive ones, the atoms of that Boolean ring; see _block_unit_count
-    for why they are primitive in F2[g] too.
-    """
+def _blocks(g: GroupSpec) -> tuple[tuple[tuple[int, ...], int, int], ...]:
+    """For each primitive idempotent e of F2[g] (_local_decomposition), the
+    products e*b over the basis b, d_e = dim F2[g]e and the residue degree
+    f_e = d_e - dim N*e: F2[g]e is local with residue field F_(2^f_e)."""
     a = group_algebra(g)
-    odd = [i for i, x in enumerate(elements(g)) if element_order(g, x) % 2]
-    square = [row[i].bit_length() - 1 for i, row in enumerate(a.mult_table)]
-    seen = 0
-    parts = [a.one_vector]
-    for h in odd:
-        orbit = 0
-        while not orbit >> h & 1:
-            orbit |= 1 << h
-            h = square[h]
-        if orbit & seen:
-            continue
-        seen |= orbit
-        parts = [q for p in parts for q in (a.mul(p, orbit), a.mul(p, orbit) ^ p) if q]
-    return tuple((tuple(a.mul(e, 1 << b) for b in range(a.dim)),
-                  len(gf2.rref(a.mul(e, 1 << h) for h in odd))) for e in parts)
+    return tuple((tuple(a.mul(e, 1 << b) for b in range(a.dim)), d, d - n)
+                 for e, d, n in _local_decomposition(a)[1])
 
 
 def _block_unit_count(ideal: Ideal) -> int:
     """|(F2[G]/I)^x| for an ideal I of a group algebra, read off the blocks
     of F2[G], which are computed once per group.
 
-    Write G = P x H with P the 2-part and H the odd part. F2[H] has no
-    nilpotents (|H| is odd), so it is the product of the fields F2[H]e over
-    its primitive idempotents e, with 2^f_e elements each. F2[G]e =
-    F2[P] (x) F2[H]e is the group ring of P over that field: its
-    augmentation ideal is nilpotent, as (1 + p)^(2^k) = 1 + p^(2^k) = 0 for
-    p of order 2^k, and the quotient by it is the field. So F2[G]e is local
-    with residue field F_(2^f_e) and dimension |P|*f_e, and the e are the
-    primitive idempotents of F2[G]. An ideal splits as I = sum of Ie, and
-    F2[G]/I is the product of the F2[G]e/Ie. Each nonzero one, of dimension
-    r_e = |P|*f_e - dim Ie, is local with the same residue field, so its
-    non-units form a subspace of codimension f_e, and
+    F2[G] is the product of the local rings A_e = F2[G]e over its primitive
+    idempotents e, of dimension d_e and residue field F_(2^f_e) (_blocks,
+    from _local_decomposition). An ideal splits as I = sum of Ie, and
+    F2[G]/I is the product of the A_e/Ie. A quotient of a local ring by a
+    proper ideal is local with the same residue field, so each nonzero
+    A_e/Ie, of dimension r_e = d_e - dim Ie, has its non-units in a
+    subspace of codimension f_e, and
     |(F2[G]/I)^x| = prod over r_e > 0 of (2^r_e - 2^(r_e - f_e)).
     dim Ie is the rank of e*v over the basis v of I. A 2-group, one whose
-    order is a power of 2, has one block, F2[G] itself, with f = 1, so the
-    count is 2^(dim R - 1) and no block is computed.
+    order is a power of 2, has one block, F2[G] itself, with f = 1, as
+    (1 + g)^(2^k) = 1 + g^(2^k) = 0 for g of order 2^k makes the
+    augmentation ideal nilpotent; so the count is 2^(dim R - 1) and no block
+    is computed.
 
     F2[C3]/(1 + x + x^2) is F4, with 3 units:
 
@@ -463,13 +441,10 @@ def _block_unit_count(ideal: Ideal) -> int:
     amb = ideal.ambient
     if amb.dim & (amb.dim - 1) == 0:
         return 1 << (amb.dim - ideal.dim - 1)
-    blocks = _blocks(amb.group)
-    size = amb.dim // sum(f for _, f in blocks)  # |P|, as sum f_e = |H|
     count = 1
-    for images, f in blocks:
-        rank = len(gf2.rref(reduce(xor, (images[b] for b in gf2.bits(v)), 0)
-                            for v in ideal.rref_basis))
-        r = size * f - rank
+    for images, d, f in _blocks(amb.group):
+        r = d - len(gf2.rref(reduce(xor, (images[b] for b in gf2.bits(v)), 0)
+                             for v in ideal.rref_basis))
         if r:
             count *= (1 << r) - (1 << (r - f))
     return count

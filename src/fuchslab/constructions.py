@@ -13,7 +13,6 @@ import itertools
 import re
 from dataclasses import dataclass
 from enum import Enum
-from functools import lru_cache
 from math import prod
 
 from . import gf2
@@ -214,16 +213,15 @@ def star_ideal(rank: int, with_c4: bool) -> Ideal:
     return ideal_span(group_algebra(spec), gens)
 
 
-@lru_cache(maxsize=8)
 def chain_ring_ideals(g: GroupSpec) -> tuple[Ideal, ...]:
     """Every ideal of F2[g], for |g| <= 16 with a cyclic 2-part: g = P x H,
     with P = C_{2^k} and H of odd order.
 
-    Each block F2[g]e, for a primitive idempotent e of _blocks, is the chain
-    ring F_q[s]/(s^(2^k)) with s = 1 + y for a generator y of P (see
-    _block_unit_count); for odd g, y is the identity and s = 0. The ideals
-    are those generated by the e*s^j_e, one j_e in 0..2^k per block, in
-    itertools.product order. For C_{2^k}, e = 1: the ideals ((x+1)^j).
+    Each block F2[g]e, for a primitive idempotent e of _blocks, is local
+    with residue degree f_e; the ideals listed are those generated by the
+    e*s^j_e, one j_e in 0..2^k per block, in itertools.product order, with
+    s = 1 + y for a generator y of P (s = 0 for odd g, where y = 1). For
+    C_{2^k}, e = 1: the ideals ((x+1)^j).
 
     Completeness is not assumed: a structural certificate, checked on the
     dimensions of the listed ideals, proves that no other ideal exists.
@@ -239,18 +237,18 @@ def chain_ring_ideals(g: GroupSpec) -> tuple[Ideal, ...]:
     size = evens[0] & -evens[0] if evens else 1  # |P|
     # y has order |P| in the even factor; for odd g it is the identity
     s = amb.one_vector ^ _vec(g, tuple(d // size if d % 2 == 0 else 0 for d in g.finite_orders))
-    blocks = [(images[0], f) for images, f in _blocks(g)]  # images[0] is e*1 = e
+    blocks = [(images[0], f) for images, _, f in _blocks(g)]  # images[0] is e*1 = e
     vectors = list(itertools.product(range(size + 1), repeat=len(blocks)))
     ideals = tuple(ideal_span(amb, [amb.mul(e, amb.power(s, j)) for (e, _), j in zip(blocks, js)])
                    for js in vectors)
 
     # Certificate: dim = sum f_e (2^k - j_e) for every listed ideal. With
     # j = 2^k on the other blocks, the ideal (e s^j) of the block A_e =
-    # F2[g]e has dimension f_e (2^k - j), j = 0..2^k. So e s is nilpotent,
-    # and A_e/(e s), of dimension f_e, is the image of the field F2[H]e of
-    # the same dimension (y = 1 mod s), so it is that field. An element of
-    # A_e outside (e s) is then invertible modulo a nilpotent ideal, so a
-    # unit of A_e. An x in (e s^v) but not in (e s^(v+1)) is e s^v times
+    # F2[g]e has dimension f_e (2^k - j), j = 0..2^k. So dim A_e = 2^k f_e,
+    # and (e s), nilpotent as s^(2^k) = 1 + y^(2^k) = 0, has dimension
+    # dim A_e - f_e = dim N*e: it is N*e, and A_e/(e s) is the residue
+    # field. An element of A_e outside (e s) is then a unit of the local
+    # ring A_e. An x in (e s^v) but not in (e s^(v+1)) is e s^v times
     # such a unit, so it generates (e s^v). Any ideal of A_e is thus (e s^v)
     # for the minimal valuation v of its elements, and an ideal I of F2[g]
     # is the sum of its parts Ie, as the e sum to 1. So the list is

@@ -35,7 +35,7 @@ from fuchslab import (
     units,
 )
 from fuchslab import gf2
-from fuchslab.algebra import _block_unit_count, _cayley_table
+from fuchslab.algebra import _block_unit_count, _blocks, _cayley_table
 from fuchslab.constructions import _default_pool, _join, _subset_ideals
 
 C2 = GroupSpec((2,))
@@ -404,7 +404,9 @@ def test_unit_count_is_the_number_of_units():
 def test_block_unit_count_matches_unit_count():
     # the count units_are_group reads off the blocks of F2[G] against the
     # decomposition of the quotient's own algebra, on the corpus quotients
-    # and on random quotients of group algebras with an odd part
+    # and on random quotients of group algebras with an odd part; both rest
+    # on _local_decomposition, so the units() scan, which does not, is the
+    # reference wherever it is cheap
     rings = _group_algebra_quotients()
     rng = random.Random(19)
     for text in ["C3", "C5", "C7", "C3 x C3", "C15", "C21", "C2 x C6", "C12", "C2^4 x C6"]:
@@ -418,8 +420,38 @@ def test_block_unit_count_matches_unit_count():
                 rings.append(QuotientRing(ideal))
                 found += 1
     assert len(rings) >= 650
+    scanned = 0
     for q in rings:
-        assert _block_unit_count(q.ideal) == unit_count(q.quotient_algebra)
+        count = _block_unit_count(q.ideal)
+        assert count == unit_count(q.quotient_algebra)
+        if q.dim <= 12:
+            assert count == len(units(q.quotient_algebra))
+            scanned += 1
+    assert scanned >= 600
+
+
+# every group of order <= 12 with an odd part
+_ODD_PART_GROUPS = ["C3", "C5", "C6", "C7", "C9", "C3^2", "C10", "C11", "C12", "C2 x C6"]
+
+
+@pytest.mark.parametrize("text", _ODD_PART_GROUPS)
+def test_blocks_are_the_atoms_of_the_idempotents(text):
+    # a scan over all 2^|G| elements, with no rank or kernel: the block
+    # idempotents are the minimal nonzero x with x^2 = x, the block e*F2[G]
+    # has 2^d_e elements, and 2^(d_e - f_e) of them are nilpotent
+    g = parse_group(text)
+    a = group_algebra(g)
+    every = range(1 << a.dim)
+    idempotents = [x for x in every if x and a.mul(x, x) == x]
+    atoms = {x for x in idempotents if all(a.mul(x, y) in (0, x) for y in idempotents)}
+    blocks = _blocks(g)
+    assert sorted(images[0] for images, _, _ in blocks) == sorted(atoms)
+    for images, d, f in blocks:
+        e = images[0]
+        assert images == tuple(a.mul(e, 1 << b) for b in range(a.dim))
+        block = [x for x in every if a.mul(e, x) == x]
+        nilpotent = [x for x in block if a.power(x, a.dim) == 0]
+        assert len(block) == 1 << d and len(nilpotent) == 1 << (d - f)
 
 
 def test_unit_count_splits_local_factors_and_drops_the_radical():

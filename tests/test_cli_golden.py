@@ -37,6 +37,9 @@ _VERIFIED = [
     "C4", "C2 x C4", "C2^2 x C4",
     "C12", "C2 x C12", "C2^2 x C12",
 ]
+# groups with 2 to 5 blocks, of residue degree up to 4: the chain pool lists
+# one generator per block
+_MULTI_BLOCK = ["C3", "C7", "C12", "C15", "C3 x C3"]
 
 REQUESTS: list[list[str]] = (
     [["verify", "C2^4"], ["verify", "C2^3 x C4"]]
@@ -54,6 +57,7 @@ REQUESTS: list[list[str]] = (
     + [["verify", spec] for spec in _VERIFIED]
     + [["verify", "C2^5"], ["verify", "C2^4 x C4"], ["construct", "C2^3 x C12"]]
     + [["selftest"]]
+    + [["search", spec, "--pool", "chain"] for spec in _MULTI_BLOCK]
 )
 
 
@@ -68,7 +72,7 @@ def _capture(argv: list[str]) -> dict:
 
 def test_request_list_is_the_pinned_one():
     assert [entry["argv"] for entry in json.loads(GOLDEN.read_text())] == REQUESTS
-    assert len(REQUESTS) == 45
+    assert len(REQUESTS) == 50
 
 
 def test_cli_output_is_byte_identical_to_the_golden_file():

@@ -160,15 +160,31 @@ def _ordered_a24_ideal(rank, with_c4):
     return ideal_span(group_algebra(spec), gens)
 
 
+def _small_a24_ideal(rank, with_c4):
+    """The ideal of (1 + x_i)(1 + x_j) for i < j, (1 + x_i)(1 + y) and
+    (1 + y)^3, over the generators x_i of the C2 factors and y of C4."""
+    spec = GroupSpec((2,) * rank + ((4,) if with_c4 else ()))
+    amb = group_algebra(spec)
+    one = _vec(spec, identity_element(spec))
+    s = [one ^ _vec(spec, tuple(int(t == i) for t in range(spec.rank))) for i in range(spec.rank)]
+    xs, ys = s[:rank], s[rank:]
+    gens = [amb.mul(a, b) for a, b in itertools.combinations(xs, 2)]
+    gens += [amb.mul(a, b) for a in xs for b in ys]
+    gens += [amb.power(b, 3) for b in ys]
+    return ideal_span(amb, gens)
+
+
 # Orders up to 32. The larger C2^4 x C4 and C2^6 are covered without the
-# oracle: a24_ideal's family is a subset of the ordered one, so it spans a
+# oracles: a24_ideal's family is a subset of the ordered one, so it spans a
 # subideal, and test_construct_witness_positive pins each quotient's
 # dimension at the ordered family's, so the two ideals are equal.
 @pytest.mark.parametrize("rank,with_c4", [
     (rank, with_c4) for with_c4 in (False, True) for rank in range(6 - 2 * with_c4)
 ])
 def test_a24_equals_the_ordered_family(rank, with_c4):
-    assert a24_ideal(rank, with_c4).rref_basis == _ordered_a24_ideal(rank, with_c4).rref_basis
+    basis = a24_ideal(rank, with_c4).rref_basis
+    assert basis == _ordered_a24_ideal(rank, with_c4).rref_basis
+    assert basis == _small_a24_ideal(rank, with_c4).rref_basis
 
 
 def test_a24_budget():
@@ -412,14 +428,10 @@ def test_chain_ring_certificate_rejects_a_wrong_power(monkeypatch, k):
     def mutated_span(a, gens):
         return real_span(a, [right] if list(gens) == [wrong] else gens)
 
-    chain_ring_ideals.cache_clear()
     monkeypatch.setattr(constructions, "ideal_span", mutated_span)
-    try:
-        with pytest.raises(FuchslabError):
-            chain_ring_ideals(spec)
-    finally:
-        monkeypatch.undo()
-        chain_ring_ideals.cache_clear()
+    with pytest.raises(FuchslabError):
+        chain_ring_ideals(spec)
+    monkeypatch.undo()
     assert len(chain_ring_ideals(spec)) == 2**k + 1
 
 
@@ -438,14 +450,10 @@ def test_block_certificate_rejects_a_dropped_block(monkeypatch, text):
             gens.remove(e)
         return real_span(a, gens)
 
-    chain_ring_ideals.cache_clear()
     monkeypatch.setattr(constructions, "ideal_span", mutated_span)
-    try:
-        with pytest.raises(FuchslabError, match="unexpected dimensions"):
-            chain_ring_ideals(g)
-    finally:
-        monkeypatch.undo()
-        chain_ring_ideals.cache_clear()
+    with pytest.raises(FuchslabError, match="unexpected dimensions"):
+        chain_ring_ideals(g)
+    monkeypatch.undo()
     assert len(chain_ring_ideals(g)) > 1
 
 
@@ -482,8 +490,9 @@ def test_chain_ring_ideals_are_the_principal_ideals(g):
 
 def test_chain_ring_ideals_of_c12():
     ideals = chain_ring_ideals(GroupSpec((12,)))
-    # F2[C12] = F2[C4] x F4[C4]: blocks of f = 1 and 2, and 5 x 5 ideals
-    assert sorted(f for _, f in algebra._blocks(GroupSpec((12,)))) == [1, 2]
+    # F2[C12] = F2[C4] x F4[C4]: blocks of dimension 4 and 8, f = 1 and 2,
+    # and 5 x 5 ideals
+    assert sorted((d, f) for _, d, f in algebra._blocks(GroupSpec((12,)))) == [(4, 1), (8, 2)]
     assert len(ideals) == 25
     assert [i.dim for i in ideals[:5]] == [12, 11, 10, 9, 8]
 
