@@ -328,9 +328,13 @@ def units(a: Algebra) -> frozenset[AlgebraElement]:
     return frozenset(e for e in range(1, 1 << a.dim) if is_unit(a, e))
 
 
-def _local_decomposition(a: Algebra) -> tuple[list[list[int]], list[tuple[int, int, int]]]:
-    """The images of the basis under F^0, F^1, ..., F^K, and the triple
-    (e, dim a*e, dim N*e) for each primitive idempotent e.
+@lru_cache(maxsize=64)
+def _local_decomposition(a: Algebra) -> tuple[tuple[tuple[int, ...], ...],
+                                              tuple[tuple[tuple[int, ...], int, int], ...]]:
+    """The images of the basis under F^0, F^1, ..., F^K, and for each
+    primitive idempotent e the record (images, d, f): the products e*b over
+    the basis b, d = dim a*e and the residue degree f = d - dim N*e.
+    Cached per algebra, so F2[G] is decomposed once per group.
 
     Squaring F(x) = x^2 is F2-linear in a commutative ring of characteristic
     2. For nilpotent x the ideals x^i*a shrink strictly until they vanish
@@ -340,36 +344,35 @@ def _local_decomposition(a: Algebra) -> tuple[list[list[int]], list[tuple[int, i
     Splitting 1 by a basis f of them (each part p into p*f and p + p*f,
     zeros dropped) leaves the atoms of that Boolean ring, the primitive
     idempotents e. So a is the product of the rings a*e; each has no
-    idempotents but 0 and e, so it is local, and its non-units form its
-    nilradical N*e.
+    idempotents but 0 and e, so it is local with residue field F_(2^f), and
+    its non-units form its nilradical N*e.
     """
-    basis = [1 << i for i in range(a.dim)]
+    basis = tuple(1 << i for i in range(a.dim))
     squares = [a.mul(b, b) for b in basis]  # F(v) is the sum of squares[i] over v's bits
     steps = [basis]
     for _ in range((a.dim - 1).bit_length()):  # up to the least K with 2^K >= dim
-        steps.append([reduce(xor, (squares[i] for i in gf2.bits(v)), 0) for v in steps[-1]])
+        steps.append(tuple(reduce(xor, (squares[i] for i in gf2.bits(v)), 0) for v in steps[-1]))
     nil = gf2.kernel_of_images(steps[-1], a.dim)
     parts = [a.one_vector]
     for f in gf2.kernel_of_images([s ^ b for s, b in zip(squares, basis)], a.dim):
         parts = [q for p in parts for q in (a.mul(p, f), a.mul(p, f) ^ p) if q]
-
-    def span_dim(e: AlgebraElement, space) -> int:  # dim of e*space
-        if e == a.one_vector:  # a local ring: 1*space is space, a basis
-            return len(space)
-        return len(gf2.rref(a.mul(e, v) for v in space))
-
-    return steps, [(e, span_dim(e, basis), span_dim(e, nil)) for e in parts]
+    blocks = []
+    for e in parts:
+        images = tuple(a.mul(e, b) for b in basis)
+        d = len(gf2.rref(images))
+        blocks.append((images, d, d - len(gf2.rref(a.mul(e, v) for v in nil))))
+    return tuple(steps), tuple(blocks)
 
 
 def unit_count(a: Algebra) -> int:
     """|a^x|, counted by linear algebra with no scan over the elements.
 
-    a is the product of local rings a*e whose non-units form N*e (see
-    _local_decomposition), so |a^x| = prod_e (2^dim(a*e) - 2^dim(N*e)).
+    a is the product of local rings a*e whose non-units form N*e, of
+    codimension f in a*e (_local_decomposition): |a^x| = prod (2^d - 2^(d - f)).
     It works on any algebra; for a quotient of a group algebra the tests
     hold it against _block_unit_count, which units_are_group uses.
     """
-    return prod((1 << d) - (1 << n) for _, d, n in _local_decomposition(a)[1])
+    return prod((1 << d) - (1 << (d - f)) for _, d, f in _local_decomposition(a)[1])
 
 
 def unit_group_invariants(a: Algebra) -> tuple[int, ...]:
@@ -391,7 +394,7 @@ def unit_group_invariants(a: Algebra) -> tuple[int, ...]:
     kernel_dims = [a.dim - len(gf2.rref(step)) for step in steps]  # d_0 = 0, ..., d_K
     at_least = [d - c for c, d in zip(kernel_dims, kernel_dims[1:])]
     pieces = [1 << sum(m >= i for m in at_least) for i in range(1, max(at_least, default=0) + 1)]
-    pieces += [(1 << (d - n)) - 1 for _, d, n in local if d - n > 1]
+    pieces += [(1 << f) - 1 for _, _, f in local if f > 1]
     return canonicalize(GroupSpec(tuple(pieces))).finite_orders
 
 
@@ -405,23 +408,13 @@ def augmentation(g: GroupSpec, e: AlgebraElement) -> int:
     return e.bit_count() & 1
 
 
-@lru_cache(maxsize=64)
-def _blocks(g: GroupSpec) -> tuple[tuple[tuple[int, ...], int, int], ...]:
-    """For each primitive idempotent e of F2[g] (_local_decomposition), the
-    products e*b over the basis b, d_e = dim F2[g]e and the residue degree
-    f_e = d_e - dim N*e: F2[g]e is local with residue field F_(2^f_e)."""
-    a = group_algebra(g)
-    return tuple((tuple(a.mul(e, 1 << b) for b in range(a.dim)), d, d - n)
-                 for e, d, n in _local_decomposition(a)[1])
-
-
 def _block_unit_count(ideal: Ideal) -> int:
     """|(F2[G]/I)^x| for an ideal I of a group algebra, read off the blocks
-    of F2[G], which are computed once per group.
+    of F2[G], whose decomposition is cached per algebra.
 
     F2[G] is the product of the local rings A_e = F2[G]e over its primitive
-    idempotents e, of dimension d_e and residue field F_(2^f_e) (_blocks,
-    from _local_decomposition). An ideal splits as I = sum of Ie, and
+    idempotents e, of dimension d_e and residue field F_(2^f_e)
+    (_local_decomposition). An ideal splits as I = sum of Ie, and
     F2[G]/I is the product of the A_e/Ie. A quotient of a local ring by a
     proper ideal is local with the same residue field, so each nonzero
     A_e/Ie, of dimension r_e = d_e - dim Ie, has its non-units in a
@@ -442,7 +435,7 @@ def _block_unit_count(ideal: Ideal) -> int:
     if amb.dim & (amb.dim - 1) == 0:
         return 1 << (amb.dim - ideal.dim - 1)
     count = 1
-    for images, d, f in _blocks(amb.group):
+    for images, d, f in _local_decomposition(amb)[1]:
         r = d - len(gf2.rref(reduce(xor, (images[b] for b in gf2.bits(v)), 0)
                              for v in ideal.rref_basis))
         if r:

@@ -20,7 +20,7 @@ from .algebra import (
     Algebra,
     Ideal,
     QuotientRing,
-    _blocks,
+    _local_decomposition,
     _trusted,
     field_algebra,
     group_algebra,
@@ -217,11 +217,11 @@ def chain_ring_ideals(g: GroupSpec) -> tuple[Ideal, ...]:
     """Every ideal of F2[g], for |g| <= 16 with a cyclic 2-part: g = P x H,
     with P = C_{2^k} and H of odd order.
 
-    Each block F2[g]e, for a primitive idempotent e of _blocks, is local
-    with residue degree f_e; the ideals listed are those generated by the
-    e*s^j_e, one j_e in 0..2^k per block, in itertools.product order, with
-    s = 1 + y for a generator y of P (s = 0 for odd g, where y = 1). For
-    C_{2^k}, e = 1: the ideals ((x+1)^j).
+    Each block F2[g]e, for a primitive idempotent e (_local_decomposition),
+    is local with residue degree f_e; the ideals listed are those generated
+    by the e*s^j_e, one j_e in 0..2^k per block, in itertools.product order,
+    with s = 1 + y for a generator y of P (s = 0 for odd g, where y = 1).
+    For C_{2^k}, e = 1: the ideals ((x+1)^j).
 
     Completeness is not assumed: a structural certificate, checked on the
     dimensions of the listed ideals, proves that no other ideal exists.
@@ -237,7 +237,7 @@ def chain_ring_ideals(g: GroupSpec) -> tuple[Ideal, ...]:
     size = evens[0] & -evens[0] if evens else 1  # |P|
     # y has order |P| in the even factor; for odd g it is the identity
     s = amb.one_vector ^ _vec(g, tuple(d // size if d % 2 == 0 else 0 for d in g.finite_orders))
-    blocks = [(images[0], f) for images, _, f in _blocks(g)]  # images[0] is e*1 = e
+    blocks = [(images[0], f) for images, _, f in _local_decomposition(amb)[1]]  # e*1 = e
     vectors = list(itertools.product(range(size + 1), repeat=len(blocks)))
     ideals = tuple(ideal_span(amb, [amb.mul(e, amb.power(s, j)) for (e, _), j in zip(blocks, js)])
                    for js in vectors)

@@ -3,6 +3,7 @@
 import random
 from functools import lru_cache, reduce
 from math import prod
+from operator import xor
 from unittest import mock
 
 import pytest
@@ -35,7 +36,7 @@ from fuchslab import (
     units,
 )
 from fuchslab import gf2
-from fuchslab.algebra import _block_unit_count, _blocks, _cayley_table
+from fuchslab.algebra import _block_unit_count, _cayley_table, _local_decomposition
 from fuchslab.constructions import _default_pool, _join, _subset_ideals
 
 C2 = GroupSpec((2,))
@@ -430,24 +431,37 @@ def test_block_unit_count_matches_unit_count():
     assert scanned >= 600
 
 
-# every group of order <= 12 with an odd part
-_ODD_PART_GROUPS = ["C3", "C5", "C6", "C7", "C9", "C3^2", "C10", "C11", "C12", "C2 x C6"]
+# every group algebra of order <= 12 with an odd part; then algebras whose
+# basis 0 need not be 1: field products and the witness quotients of
+# dimension 3 to 6, the local ones a single block whose idempotent is 1
+_DECOMPOSED = {
+    **{t: (lambda t=t: group_algebra(parse_group(t)))
+       for t in ["C3", "C5", "C6", "C7", "C9", "C3^2", "C10", "C11", "C12", "C2 x C6"]},
+    "F2 x F4": lambda: product_algebra([field_algebra(1), field_algebra(2)]),
+    "F4 x F8": lambda: product_algebra([field_algebra(2), field_algebra(3)]),
+    "F2[C2] x F4 x F2": lambda: product_algebra([group_algebra(C2), field_algebra(2),
+                                                 field_algebra(1)]),
+    "F16": lambda: field_algebra(4),
+    **{f"witness {t}": (lambda t=t: construct_witness(parse_group(t)).quotient_algebra)
+       for t in ["C4", "C2^2", "C6", "C12", "C2 x C12", "C2^4"]},
+}
 
 
-@pytest.mark.parametrize("text", _ODD_PART_GROUPS)
-def test_blocks_are_the_atoms_of_the_idempotents(text):
-    # a scan over all 2^|G| elements, with no rank or kernel: the block
-    # idempotents are the minimal nonzero x with x^2 = x, the block e*F2[G]
-    # has 2^d_e elements, and 2^(d_e - f_e) of them are nilpotent
-    g = parse_group(text)
-    a = group_algebra(g)
+@pytest.mark.parametrize("name", _DECOMPOSED)
+def test_blocks_are_the_atoms_of_the_idempotents(name):
+    # a scan over all 2^dim elements, with no rank or kernel: the block
+    # idempotents are the minimal nonzero x with x^2 = x, the block e*a has
+    # 2^d elements, and 2^(d - f) of them are nilpotent. e is read off the
+    # images as e*1
+    a = _DECOMPOSED[name]()
     every = range(1 << a.dim)
     idempotents = [x for x in every if x and a.mul(x, x) == x]
     atoms = {x for x in idempotents if all(a.mul(x, y) in (0, x) for y in idempotents)}
-    blocks = _blocks(g)
-    assert sorted(images[0] for images, _, _ in blocks) == sorted(atoms)
-    for images, d, f in blocks:
-        e = images[0]
+    blocks = _local_decomposition(a)[1]
+    es = [reduce(xor, (images[b] for b in gf2.bits(a.one_vector)), 0)
+          for images, _, _ in blocks]
+    assert sorted(es) == sorted(atoms)
+    for e, (images, d, f) in zip(es, blocks):
         assert images == tuple(a.mul(e, 1 << b) for b in range(a.dim))
         block = [x for x in every if a.mul(e, x) == x]
         nilpotent = [x for x in block if a.power(x, a.dim) == 0]

@@ -1,9 +1,11 @@
 """Command-line interface: exit codes, schema stability, determinism."""
 
 import contextlib
+import importlib
 import io
 import json
 import os
+import re
 import subprocess
 import sys
 from math import gcd, prod
@@ -185,6 +187,19 @@ def test_importing_the_cli_leaves_selftest_unloaded():
     done = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
                           env={**os.environ, "PYTHONPATH": src}, check=True)
     assert done.stdout.strip() == "False"
+
+
+def test_console_script_runs_a_request(capsys, monkeypatch):
+    # the installed `fuchslab` command: the target pyproject.toml declares,
+    # read with a regex since Python 3.10 has no tomllib
+    pyproject = (Path(__file__).resolve().parents[1] / "pyproject.toml").read_text()
+    module, name = re.search(r'^fuchslab = "([\w.]+):(\w+)"$', pyproject, re.M).groups()
+    entry = getattr(importlib.import_module(module), name)
+    monkeypatch.setattr(sys, "argv", ["fuchslab", "classify", "C2 x C12", "--json", "--no-timings"])
+    with pytest.raises(SystemExit) as exc:
+        entry()
+    assert exc.value.code == 0
+    assert '"fully_realizable": true' in capsys.readouterr().out
 
 
 # flags before and after the subcommand, --max-endos given and omitted, and the

@@ -441,7 +441,7 @@ def test_block_certificate_rejects_a_dropped_block(monkeypatch, text):
     # with another nonzero member, so the ideal of (e', e) comes back as (e'):
     # the certificate must see the lost dimensions
     g = parse_group(text)
-    e = algebra._blocks(g)[-1][0][0]
+    e = algebra._local_decomposition(group_algebra(g))[1][-1][0][0]
     real_span = constructions.ideal_span
 
     def mutated_span(a, gens):
@@ -455,6 +455,22 @@ def test_block_certificate_rejects_a_dropped_block(monkeypatch, text):
         chain_ring_ideals(g)
     monkeypatch.undo()
     assert len(chain_ring_ideals(g)) > 1
+
+
+@pytest.mark.parametrize("text, k", [("C15", 3), ("C3 x C3", 1), ("C12", 4)])
+def test_a_chain_search_decomposes_its_group_algebra_once(text, k):
+    # the ideal list and every quotient's unit count read one cached
+    # decomposition of F2[g]; a second algebra with the same table is
+    # another object, decomposed on its own, with the same counts
+    g = parse_group(text)
+    algebra._local_decomposition.cache_clear()
+    bounded_ideal_search(g, pool="chain")
+    assert algebra._local_decomposition.cache_info().misses == 1
+    copy = Algebra(algebra._cayley_table(g), 1, group=g)
+    gens = [1 | 1 << k]  # 1 + the k-th group element: F2[g]/I has more than one unit
+    count = algebra._block_unit_count(ideal_span(group_algebra(g), gens))
+    assert count > 1 and algebra._block_unit_count(ideal_span(copy, gens)) == count
+    assert algebra._local_decomposition.cache_info().misses == 2
 
 
 def _cyclic_two_part(g):
@@ -492,7 +508,8 @@ def test_chain_ring_ideals_of_c12():
     ideals = chain_ring_ideals(GroupSpec((12,)))
     # F2[C12] = F2[C4] x F4[C4]: blocks of dimension 4 and 8, f = 1 and 2,
     # and 5 x 5 ideals
-    assert sorted((d, f) for _, d, f in algebra._blocks(GroupSpec((12,)))) == [(4, 1), (8, 2)]
+    blocks = algebra._local_decomposition(group_algebra(GroupSpec((12,))))[1]
+    assert sorted((d, f) for _, d, f in blocks) == [(4, 1), (8, 2)]
     assert len(ideals) == 25
     assert [i.dim for i in ideals[:5]] == [12, 11, 10, 9, 8]
 
